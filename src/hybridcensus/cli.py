@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,20 +56,6 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
         if volumes[k] <= 0:
             raise ValueError(f"piece volume v{k} must be positive")
     return volumes
-
-
-def _check_thread_cap() -> None:
-    # All library code is sequential and deterministic; a positive cap is
-    # always satisfied, anything else is a configuration error.
-    raw = os.environ.get("HYBRID_CENSUS_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HYBRID_CENSUS_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"HYBRID_CENSUS_THREADS must be a positive integer, got {cap}")
 
 
 # ---------------------------------------------------------------- handlers
@@ -325,7 +310,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_thread_cap()
         result = args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _diag(f"error: {exc}")

@@ -27,7 +27,6 @@ __all__ = [
     "necklace_count",
     "primitive_root",
     "same_class",
-    "same_primitive_class",
 ]
 
 
@@ -101,10 +100,9 @@ def canonical_rotation(w: CyclicWord) -> tuple[CyclicWord, int]:
 
 def _period(letters: tuple[int, ...]) -> int:
     m = len(letters)
-    for d in range(1, m + 1):
-        if m % d == 0 and all(letters[i] == letters[i % d] for i in range(m)):
-            return d
-    raise AssertionError("unreachable: m is always a period")
+    return next(
+        d for d in range(1, m + 1) if m % d == 0 and letters[d:] + letters[:d] == letters
+    )
 
 
 def primitive_root(w: CyclicWord) -> CyclicWord:
@@ -130,20 +128,6 @@ def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]
     return True, (shift_a - shift_b) % _period(alpha.letters)
 
 
-def same_primitive_class(alpha: CyclicWord, beta: CyclicWord) -> bool:
-    """Experimental cross-length comparator: primitive roots in the same orbit.
-
-    Repeating a word gives a cyclic cover of the glued object, so words with
-    rotation-equal primitive roots are commensurable; the converse across
-    different lengths is NOT established, which is why the equal-length
-    `same_class` is the oracle of record.
-    """
-    ra, rb = primitive_root(alpha), primitive_root(beta)
-    if ra.m != rb.m or alpha.r != beta.r:
-        return False
-    return canonical_rotation(ra)[0].letters == canonical_rotation(rb)[0].letters
-
-
 # -------------------------------------------------------------- stabilizers
 
 
@@ -160,15 +144,16 @@ class StabilizerReport:
 
 
 def dihedral_stabilizer(w: CyclicWord) -> StabilizerReport:
-    """Enumerate all 2m symmetries of Z/mZ and count the color-preserving ones."""
-    letters, m = w.letters, w.m
-    rotations = sum(
-        1 for s in range(m) if all(letters[(i + s) % m] == letters[i] for i in range(m))
-    )
-    reflection = any(
-        all(letters[(t - i) % m] == letters[i] for i in range(m)) for t in range(m)
-    )
-    assert rotations == m // _period(letters)
+    """Count the rotations and detect a reflection of Z/mZ preserving the coloring.
+
+    The shifts fixing w form a subgroup of Z/mZ generated by the period d of
+    w, so there are m/d of them.  The reflection i -> t - i sends w to the
+    word i -> w[(t - i) mod m], which is the reversed word rotated by
+    m - 1 - t; so some reflection fixes w exactly when the reversed word
+    lies in the rotation class of w.
+    """
+    rotations = w.m // _period(w.letters)
+    reflection = same_class(w, CyclicWord(w.letters[::-1], w.r))[0]
     return StabilizerReport(rotations, reflection)
 
 
@@ -209,7 +194,6 @@ def necklace_count(r: int, m: int) -> int:
     for d in range(1, m + 1):
         if m % d == 0:
             total += _totient(d) * math.factorial(r * m // d) // math.factorial(m // d) ** r
-    assert total % (r * m) == 0
     return total // (r * m)
 
 
@@ -239,18 +223,48 @@ def _fixed_content_words(r: int, m: int) -> Iterator[tuple[int, ...]]:
         yield tuple(w)
 
 
+def _necklaces(a: list[int], left: list[int], t: int, p: int, out: list) -> None:
+    """Fredricksen-Kessler-Maiorana recursion restricted to fixed content.
+
+    a[1:t] is a prenecklace (every prefix of a necklace is one) whose
+    longest Lyndon prefix has length p; a[0] = 0 is a sentinel.  The next
+    letter either repeats a[t - p], keeping p, or exceeds it, making the
+    whole prefix Lyndon (p = t); only letters with copies left are tried.
+    A full prenecklace is a necklace iff p divides its length.
+    """
+    n = len(a) - 1
+    if t > n:
+        if n % p == 0:
+            out.append(tuple(a[1:]))
+        return
+    for j in range(a[t - p], len(left)):
+        if left[j]:
+            left[j] -= 1
+            a[t] = j
+            _necklaces(a, left, t + 1, p if j == a[t - p] else t, out)
+            left[j] += 1
+
+
 def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     """One canonical representative per rotation class of fixed-content words,
-    in lexicographic order.  Refuses word lengths above the cap."""
+    in lexicographic order.  Refuses word lengths above the cap.
+
+    The canonical representatives are the necklaces (words that are their
+    own least rotation).  `_necklaces` (Sawada, TCS 301, 2003) builds them
+    in lexicographic order through prenecklace prefixes only, never
+    visiting the other words; a necklace starts with its least letter, so
+    it starts after a leading 1.  For r = 1 the one class is written down
+    directly, since the recursion is as deep as the word.
+    """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     if r * m > cap:
         raise ValueError(f"enumeration cap exceeded: r*m = {r * m} > {cap}")
-    reps = []
-    for word in _fixed_content_words(r, m):
-        if _least_rotation_index(word) == 0:
-            reps.append(CyclicWord(word, r))
-    return reps
+    if r == 1:
+        return [CyclicWord((1,) * m, 1)]
+    out: list[tuple[int, ...]] = []
+    _necklaces([0, 1] + [0] * (r * m - 1), [0, m - 1] + [m] * (r - 1), 2, 1, out)
+    return [CyclicWord(word, r) for word in out]
 
 
 def brute_force_class_count(r: int, m: int) -> int:

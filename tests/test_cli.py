@@ -209,16 +209,6 @@ class TestHarness:
         _, fam2, _ = run(capsys, "forms", "family", "--n", "4", "--count", "5")
         assert fam1 == fam2
 
-    def test_thread_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYBRID_CENSUS_THREADS", "4")
-        code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "2")
-        assert code == 0 and payload["status"] == "ok"
-
-    def test_thread_cap_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYBRID_CENSUS_THREADS", "0")
-        code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "2")
-        assert code == 2 and "HYBRID_CENSUS_THREADS" in payload["message"]
-
     def test_payload_is_single_json_line(self, capsys):
         _, out, _ = run(capsys, "words", "canon", "--word", "1,2")
         assert out.count("\n") == 1

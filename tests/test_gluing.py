@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from hybridcensus.gluing import (
     CyclicWord,
+    _fixed_content_words,
     brute_force_class_count,
     canonical_rotation,
     dihedral_stabilizer,
@@ -15,7 +17,6 @@ from hybridcensus.gluing import (
     necklace_count,
     primitive_root,
     same_class,
-    same_primitive_class,
 )
 
 
@@ -163,13 +164,6 @@ class TestPrimitiveRoot:
             assert w.m % g.m == 0
             assert g.letters * (w.m // g.m) == w.letters
 
-    def test_cross_length_comparator(self):
-        g = CyclicWord((1, 2, 2), 2)
-        doubled = CyclicWord((1, 2, 2, 1, 2, 2), 2)
-        assert same_primitive_class(g, doubled)
-        assert same_primitive_class(doubled.rotate(2), g)
-        assert not same_primitive_class(g, CyclicWord((1, 2), 2))
-
 
 class TestDihedralStabilizer:
     def test_constant_word(self):
@@ -194,8 +188,19 @@ class TestDihedralStabilizer:
 
     def test_order_matches_symmetry_enumeration(self):
         rng = random.Random(27)
-        for _ in range(200):
-            w = random_word(rng, max_len=10)
+        random_words = (random_word(rng, max_len=10) for _ in range(200))
+        # periodic words (a block repeated) and rotated palindromes, with and
+        # without a middle letter
+        periodic = (
+            CyclicWord(b.letters * rng.randrange(2, 5), b.r)
+            for b in (random_word(rng, max_len=4) for _ in range(100))
+        )
+        palindromes = (
+            CyclicWord(h.letters + mid + h.letters[::-1], h.r).rotate(rng.randrange(10))
+            for h in (random_word(rng, max_len=5) for _ in range(100))
+            for mid in ((), (rng.randrange(1, h.r + 1),))
+        )
+        for w in chain(random_words, periodic, palindromes):
             m, letters = w.m, w.letters
             preserved = 0
             for s in range(m):
@@ -276,6 +281,16 @@ class TestEnumerateClasses:
         for r, m in ((1, 6), (2, 2), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)):
             assert len(enumerate_classes(r, m, cap=24)) == necklace_count(r, m)
 
+    def test_matches_permutation_filter(self):
+        # the exact ordered list of least rotations among all fixed-content words
+        cases = [(r, m) for r in (1, 2, 3) for m in range(1, 13) if r * m <= 12]
+        for r, m in cases + [(2, 7), (3, 4), (4, 3)]:
+            expected = [
+                w for w in _fixed_content_words(r, m) if w == naive_min_rotation(w)
+            ]
+            got = enumerate_classes(r, m, cap=r * m)
+            assert [w.letters for w in got] == expected, (r, m)
+
     def test_representatives_are_canonical(self):
         for w in enumerate_classes(3, 3):
             canon, shift = canonical_rotation(w)
@@ -287,6 +302,8 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError, match="cap"):
             enumerate_classes(2, 3, cap=5)
         assert len(enumerate_classes(2, 3, cap=6)) == 4
+        # one letter: a single class, however long the word
+        assert enumerate_classes(1, 3000, cap=3000) == [CyclicWord((1,) * 3000, 1)]
 
     def test_full_default_cap(self):
         # rm = 20 is the documented working scale for enumeration

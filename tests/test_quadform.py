@@ -8,6 +8,7 @@ from hybridcensus.exact_arith import (
     LocalPlace,
     LocalValue,
     Sqrt2Int,
+    is_square_f,
     legendre,
     smallest_nonresidue,
     valuation_f,
@@ -368,6 +369,17 @@ class TestGenerateFamily:
                 assert is_admissible(form)
                 assert is_anisotropic_certified(form)
                 assert signatures(form) in ((1, 0), (0, 1))
+
+    def test_leading_coefficients_pairwise_nonsquare(self):
+        """A rational x is a square in Q(sqrt(2)) iff x or 2x is a rational
+        square, and a product of two distinct primes is neither; so no
+        product of two leading coefficients is a square."""
+        for n in (3, 4):
+            fam = generate_family(n, 60)
+            for i, f in enumerate(fam):
+                assert is_admissible(f) and is_anisotropic_certified(f)
+                for g in fam[:i]:
+                    assert not is_square_f(f.coeffs[0] * g.coeffs[0])
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
