@@ -107,8 +107,10 @@ def render_log_scientific(log_value: float, digits: int = 9) -> str:
     """Scientific-notation string for exp(log_value) without overflowing floats."""
     log10 = log_value / math.log(10)
     exp10 = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exp10)
-    return f"{mantissa:.{digits}f}e{exp10:+d}"
+    mantissa = f"{10.0 ** (log10 - exp10):.{digits}f}"
+    if mantissa.startswith("10"):  # rounding carried into the next decade
+        mantissa, exp10 = f"{1:.{digits}f}", exp10 + 1
+    return f"{mantissa}e{exp10:+d}"
 
 
 def theorem_table(

@@ -49,6 +49,8 @@ def _parse_fraction(text: str) -> Fraction:
 def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"volume file {path} must hold a JSON object of piece volumes")
     volumes = {int(k): _parse_fraction(str(v)) for k, v in raw.items()}
     for k in range(1, r + 1):
         if k not in volumes:
@@ -95,6 +97,8 @@ def _cmd_forms_certify(args: argparse.Namespace) -> CommandResult:
         raise ValueError("n must be >= 2")
     if args.a < 1 or args.a_prime < 1:
         raise ValueError("leading coefficients must be positive integers")
+    if args.max_prime < 0:
+        raise ValueError("max-prime must be >= 0")
     q_a = quadform.DiagonalForm.standard(args.a, args.n)
     q_a2 = quadform.DiagonalForm.standard(args.a_prime, args.n)
     cert = quadform.certify_noncommensurable(q_a, q_a2, args.n, args.max_prime)
@@ -120,7 +124,7 @@ def _cmd_forms_certify(args: argparse.Namespace) -> CommandResult:
 def _cmd_forms_verify(args: argparse.Namespace) -> CommandResult:
     with open(args.cert, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "certificate" in doc:
+    if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
     cert = quadform.NoncommCertificate.from_json(doc)
     if quadform.verify_certificate(cert):

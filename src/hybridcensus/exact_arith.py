@@ -38,13 +38,20 @@ __all__ = [
 
 # ------------------------------------------------------------------ primes
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 prime bases is deterministic below
+# _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the first 12 alone are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_BOUND; larger n raise ValueError."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime: {n} is not below the deterministic bound {_MR_BOUND}")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q

@@ -11,6 +11,7 @@ counts fixed-content rotation classes exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -254,7 +255,11 @@ def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     in lexicographic order through prenecklace prefixes only, never
     visiting the other words; a necklace starts with its least letter, so
     it starts after a leading 1.  For r = 1 the one class is written down
-    directly, since the recursion is as deep as the word.
+    directly, since the recursion is as deep as the word.  For r >= 2 words
+    longer than half the interpreter's recursion limit are refused before
+    recursing, leaving the other half to the caller's frames.  Under the
+    default limit of 1000 that refuses rm > 500, where there are more than
+    2^480 classes, too many to list anyway.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
@@ -262,6 +267,9 @@ def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
         raise ValueError(f"enumeration cap exceeded: r*m = {r * m} > {cap}")
     if r == 1:
         return [CyclicWord((1,) * m, 1)]
+    depth = sys.getrecursionlimit() // 2
+    if r * m > depth:
+        raise ValueError(f"word length r*m = {r * m} exceeds the recursion depth {depth}")
     out: list[tuple[int, ...]] = []
     _necklaces([0, 1] + [0] * (r * m - 1), [0, m - 1] + [m] * (r - 1), 2, 1, out)
     return [CyclicWord(word, r) for word in out]

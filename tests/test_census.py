@@ -117,6 +117,8 @@ class TestAsymptotic:
     def test_render_scientific(self):
         assert render_log_scientific(math.log(1500.0)).startswith("1.5")
         assert render_log_scientific(math.log(1500.0)).endswith("e+3")
+        # 10^(log10 1000 - 2) rounds up to 10: the carry goes into the exponent
+        assert render_log_scientific(math.log(1000.0)) == "1.000000000e+3"
         big = render_log_scientific(asymptotic_log(3, 512))
         mant, exp10 = big.split("e")
         assert 1.0 <= float(mant) < 10.0 and int(exp10) > 700

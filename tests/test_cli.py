@@ -1,8 +1,10 @@
 import json
 
+from hybridcensus import exact_arith
 from hybridcensus.cli import main
 from hybridcensus.gluing import necklace_count
-from hybridcensus.quadform import NoncommCertificate, verify_certificate
+from hybridcensus.exact_arith import LocalPlace
+from hybridcensus.quadform import DiagonalForm, NoncommCertificate, _witness_at, verify_certificate
 
 
 def run(capsys, *argv):
@@ -93,6 +95,40 @@ class TestFormsCertify:
         code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(path))
         assert code == 2 and verified["status"] == "error"
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, payload, err = run_json(
+            capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23",
+            "--max-prime", "-5",
+        )
+        assert code == 2 and payload["status"] == "error"
+        assert "max-prime" in err and "Traceback" not in err
+
+    def test_verify_malformed_documents(self, capsys, tmp_path):
+        _, payload, _ = run_json(
+            capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"
+        )
+        del payload["certificate"]["form"]
+        for i, doc in enumerate((payload, [1, 2], 5)):
+            path = tmp_path / f"bad-{i}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
+            assert code == 2 and verified["status"] == "error"
+            assert "malformed certificate" in verified["message"]
+
+    def test_verify_place_above_primality_bound(self, capsys, tmp_path, monkeypatch):
+        # a true witness at the prime P = 7 (mod 8), above the bound where
+        # is_prime is exact, written with primality taken on trust
+        P = 3317044064679887385962191
+        q_big, q_7 = DiagonalForm.standard(P, 4), DiagonalForm.standard(7, 4)
+        with monkeypatch.context() as m:
+            m.setattr(exact_arith, "is_prime", lambda n: True)
+            witness = _witness_at(q_big, q_7, LocalPlace.at(P))
+        cert = NoncommCertificate("LocalWitness", q_big, q_7, dict(witness, direction="forward"))
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"certificate": cert.to_json()}), encoding="utf-8")
+        code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(path))
+        assert code == 2 and verified["status"] == "error"
+
     def test_invalid_coefficient(self, capsys):
         code, payload, _ = run_json(
             capsys, "forms", "certify", "--n", "4", "--a", "0", "--a-prime", "7"
@@ -148,6 +184,13 @@ class TestWords:
         code, payload, _ = run_json(capsys, "words", "enumerate", "--r", "3", "--m", "7")
         assert code == 2 and "cap" in payload["message"]
 
+    def test_enumerate_beyond_recursion_depth(self, capsys):
+        code, payload, err = run_json(
+            capsys, "words", "enumerate", "--r", "2", "--m", "600", "--cap", "2000"
+        )
+        assert code == 2 and "recursion depth" in payload["message"]
+        assert "Traceback" not in err
+
 
 class TestCensus:
     def test_rows_match_oracle(self, capsys):
@@ -186,6 +229,14 @@ class TestCensus:
         assert payload["rows"][0]["volume"]["total"] == "2/1"
         assert [entry["m"] for entry in payload["lcom"]] == list(range(1, 9))
         assert payload["lcom"][3]["lower_bound"] == str(2 ** 4)
+
+    def test_volumes_not_an_object(self, capsys, tmp_path):
+        vols = tmp_path / "volumes.json"
+        vols.write_text('["1", "1"]', encoding="utf-8")
+        code, payload, _ = run_json(
+            capsys, "census", "--r", "2", "--m-max", "4", "--volumes", str(vols)
+        )
+        assert code == 2 and "JSON object" in payload["message"]
 
     def test_missing_volume_entry(self, capsys, tmp_path):
         vols = tmp_path / "volumes.json"

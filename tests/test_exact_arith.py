@@ -54,6 +54,14 @@ class TestPrimes:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**67 - 1)
+        # 399165290221 * 798330580441 passes Miller-Rabin for 2, 3, ..., 37
+        assert not is_prime(318665857834031151167461)
+
+    def test_above_deterministic_bound_refused(self):
+        # 1287836182261 * 2575672364521 passes Miller-Rabin for 2, 3, ..., 41
+        for n in (3317044064679887385961981, 3317044064679887385962191, 2**89 - 1):
+            with pytest.raises(ValueError, match="deterministic bound"):
+                is_prime(n)
 
 
 class TestValuationQ:

@@ -304,6 +304,9 @@ class TestEnumerateClasses:
         assert len(enumerate_classes(2, 3, cap=6)) == 4
         # one letter: a single class, however long the word
         assert enumerate_classes(1, 3000, cap=3000) == [CyclicWord((1,) * 3000, 1)]
+        # more letters: refused before the recursion runs past the stack
+        with pytest.raises(ValueError, match="recursion depth"):
+            enumerate_classes(2, 600, cap=2000)
 
     def test_full_default_cap(self):
         # rm = 20 is the documented working scale for enumeration

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hybridcensus import exact_arith
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -10,6 +11,7 @@ from hybridcensus.exact_arith import (
     Sqrt2Int,
     is_square_f,
     legendre,
+    primes_from,
     smallest_nonresidue,
     valuation_f,
 )
@@ -17,6 +19,7 @@ from hybridcensus.quadform import (
     SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
+    _witness_at,
     certify_noncommensurable,
     disc_class,
     generate_family,
@@ -308,6 +311,76 @@ class TestCertify:
         assert verify_certificate(cert)
 
 
+def exhaustive_scan(target, scaled, budget):
+    """Oracle for the place scan: every prime p = 7 (mod 8) up to the budget at
+    which the scaled form is unimodular, in increasing order."""
+    norms = [c.norm() for c in scaled.coeffs]
+    for p in primes_from(3):
+        if p > budget:
+            return None
+        if p % 8 == 7 and all(n % p for n in norms):
+            witness = _witness_at(target, scaled, LocalPlace.at(p))
+            if witness is not None:
+                return witness
+
+
+def oracle_certificate(q, q2, budget):
+    """certify_noncommensurable for even n, with both scans exhaustive."""
+    primary = exhaustive_scan(q, q2, budget)
+    swapped = exhaustive_scan(q2, q, budget)
+    if primary is not None:
+        primary["direction"] = "forward"
+        return NoncommCertificate("LocalWitness", q, q2, primary, swapped).to_json()
+    if swapped is not None:
+        swapped["direction"] = "reverse"
+        return NoncommCertificate("LocalWitness", q, q2, swapped).to_json()
+    return None
+
+
+def random_admissible(rng, n):
+    """Totally positive a_1..a_n and a last coefficient of negative norm, which
+    is negative at exactly one real embedding."""
+
+    def draw(positive_norm):
+        while True:
+            c = Sqrt2Int(rng.randint(-40, 40), rng.randint(-20, 20))
+            if positive_norm and c.u > 0 and c.norm() > 0:
+                return c
+            if not positive_norm and c.norm() < 0:
+                return c
+
+    return DiagonalForm(tuple(draw(True) for _ in range(n)) + (draw(False),))
+
+
+class TestFastScan:
+    """The scan visits only places dividing a target norm; the certificate
+    must equal the one from the exhaustive walk."""
+
+    def check(self, q, q2, budget):
+        cert = certify_noncommensurable(q, q2, q.n, budget)
+        got = None if cert is None else cert.to_json()
+        assert got == oracle_certificate(q, q2, budget)
+        return got
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_family_pairs_match_oracle(self, n):
+        fam = generate_family(n, 8)
+        budget = fam[-1].coeffs[0].u  # the last witness place is the budget itself
+        found = [self.check(f, g, budget) for f in fam for g in fam if f is not g]
+        assert all(found) if n % 4 == 0 else not any(found)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_random_forms_match_oracle(self, n):
+        rng = random.Random(100 + n)
+        found = 0
+        for budget in (6, 50, 400):
+            for _ in range(30):
+                q, q2 = random_admissible(rng, n), random_admissible(rng, n)
+                assert is_admissible(q) and is_admissible(q2)
+                found += self.check(q, q2, budget) is not None
+        assert found
+
+
 class TestVerifier:
     def test_local_witness_roundtrip(self):
         cert = certify_noncommensurable(Q23, Q7, 4)
@@ -342,6 +415,22 @@ class TestVerifier:
         doc["witness"]["p"] = 31
         doc["witness"]["sqrt2_root"] = 8
         assert not verify_certificate(NoncommCertificate.from_json(doc))
+
+    def test_place_above_primality_bound_rejected(self, monkeypatch):
+        # P is the least prime = 7 (mod 8) above 3317044064679887385961981,
+        # where is_prime stops being exact.  (q_P, q_7) has a true witness at
+        # P, built here with primality taken on trust; the verifier cannot
+        # check that P is prime, so it rejects the certificate.
+        P = 3317044064679887385962191
+        q_big = DiagonalForm.standard(P, 4)
+        with monkeypatch.context() as m:
+            m.setattr(exact_arith, "is_prime", lambda n: True)
+            witness = _witness_at(q_big, Q7, LocalPlace.at(P))
+            cert = NoncommCertificate(
+                "LocalWitness", q_big, Q7, dict(witness, direction="forward")
+            )
+            assert verify_certificate(cert)
+        assert not verify_certificate(cert)
 
     def test_mismatched_kind_rejected(self):
         cert = certify_noncommensurable(Q23, Q7, 4)
