@@ -3,7 +3,8 @@
 Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
-parse error.
+parse error.  Each handler returns (exit code, payload); `main` writes a
+str payload (CSV) as it is and prints any other payload as JSON.
 """
 
 from __future__ import annotations
@@ -11,25 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import census as census_mod
 from . import gluing, quadform
 
-__all__ = ["CommandResult", "entry", "main"]
-
-
-@dataclass
-class CommandResult:
-    status: str  # "ok" | "no-witness" | "error"
-    payload: object  # JSON document, or a CSV string
-    is_csv: bool = False
-
-    @property
-    def exit_code(self) -> int:
-        return {"ok": 0, "no-witness": 1, "error": 2}[self.status]
+__all__ = ["entry", "main"]
 
 
 def _diag(message: str) -> None:
@@ -63,9 +53,7 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_forms_family(args: argparse.Namespace) -> CommandResult:
-    if args.n < 2:
-        raise ValueError("n must be >= 2")
+def _cmd_forms_family(args: argparse.Namespace) -> tuple[int, object]:
     forms = quadform.generate_family(args.n, args.count)
     entries = []
     for idx, form in enumerate(forms):
@@ -88,13 +76,11 @@ def _cmd_forms_family(args: argparse.Namespace) -> CommandResult:
                 f"{str(e['admissible']).lower()},{str(e['anisotropic']).lower()},"
                 f"{e['signatures'][0]},{e['signatures'][1]}"
             )
-        return CommandResult("ok", "\n".join(lines) + "\n", is_csv=True)
-    return CommandResult("ok", {"status": "ok", "n": args.n, "forms": entries})
+        return 0, "\n".join(lines) + "\n"
+    return 0, {"status": "ok", "n": args.n, "forms": entries}
 
 
-def _cmd_forms_certify(args: argparse.Namespace) -> CommandResult:
-    if args.n < 2:
-        raise ValueError("n must be >= 2")
+def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, object]:
     if args.a < 1 or args.a_prime < 1:
         raise ValueError("leading coefficients must be positive integers")
     if args.max_prime < 0:
@@ -104,24 +90,21 @@ def _cmd_forms_certify(args: argparse.Namespace) -> CommandResult:
     cert = quadform.certify_noncommensurable(q_a, q_a2, args.n, args.max_prime)
     if cert is None:
         _diag(f"no witness for a={args.a}, a'={args.a_prime} within prime budget {args.max_prime}")
-        return CommandResult(
-            "no-witness",
-            {
-                "status": "no-witness",
-                "n": args.n,
-                "a": args.a,
-                "a_prime": args.a_prime,
-                "max_prime": args.max_prime,
-            },
-        )
+        return 1, {
+            "status": "no-witness",
+            "n": args.n,
+            "a": args.a,
+            "a_prime": args.a_prime,
+            "max_prime": args.max_prime,
+        }
     if cert.kind == "LocalWitness":
         _diag(f"LocalWitness at p={cert.witness['p']}")
     else:
         _diag("OddDiscWitness via nonsquare discriminant ratio")
-    return CommandResult("ok", {"status": "ok", "certificate": cert.to_json()})
+    return 0, {"status": "ok", "certificate": cert.to_json()}
 
 
-def _cmd_forms_verify(args: argparse.Namespace) -> CommandResult:
+def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, object]:
     with open(args.cert, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "certificate" in doc:
@@ -129,25 +112,22 @@ def _cmd_forms_verify(args: argparse.Namespace) -> CommandResult:
     cert = quadform.NoncommCertificate.from_json(doc)
     if quadform.verify_certificate(cert):
         _diag("certificate re-verified from scratch")
-        return CommandResult("ok", {"status": "ok", "valid": True, "kind": cert.kind})
+        return 0, {"status": "ok", "valid": True, "kind": cert.kind}
     raise ValueError("certificate did not re-verify")
 
 
-def _cmd_words_canon(args: argparse.Namespace) -> CommandResult:
+def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     canon, shift = gluing.canonical_rotation(w)
-    return CommandResult(
-        "ok",
-        {
-            "status": "ok",
-            "word": list(w.letters),
-            "canonical": list(canon.letters),
-            "shift": shift,
-        },
-    )
+    return 0, {
+        "status": "ok",
+        "word": list(w.letters),
+        "canonical": list(canon.letters),
+        "shift": shift,
+    }
 
 
-def _cmd_words_commensurable(args: argparse.Namespace) -> CommandResult:
+def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
     r = args.r
     if r is None:
         r = max(
@@ -159,72 +139,66 @@ def _cmd_words_commensurable(args: argparse.Namespace) -> CommandResult:
     ok, shift = gluing.same_class(alpha, beta)
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")
-    return CommandResult(
-        "ok",
-        {
-            "status": "ok",
-            "alpha": list(alpha.letters),
-            "beta": list(beta.letters),
-            "commensurable": ok,
-            "shift": shift,
-        },
-    )
+    return 0, {
+        "status": "ok",
+        "alpha": list(alpha.letters),
+        "beta": list(beta.letters),
+        "commensurable": ok,
+        "shift": shift,
+    }
 
 
-def _cmd_words_stabilizer(args: argparse.Namespace) -> CommandResult:
+def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, object]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     report = gluing.dihedral_stabilizer(w)
-    return CommandResult(
-        "ok",
-        {
-            "status": "ok",
-            "word": list(w.letters),
-            "rotation_order": report.rotation_order,
-            "reflection_exists": report.reflection_exists,
-            "dihedral_order": report.dihedral_order,
-        },
-    )
+    return 0, {
+        "status": "ok",
+        "word": list(w.letters),
+        "rotation_order": report.rotation_order,
+        "reflection_exists": report.reflection_exists,
+        "dihedral_order": report.dihedral_order,
+    }
 
 
-def _cmd_words_enumerate(args: argparse.Namespace) -> CommandResult:
+def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, object]:
     classes = gluing.enumerate_classes(args.r, args.m, args.cap)
-    return CommandResult(
-        "ok",
-        {
-            "status": "ok",
-            "r": args.r,
-            "m": args.m,
-            "count": len(classes),
-            "classes": [list(w.letters) for w in classes],
-        },
-    )
+    return 0, {
+        "status": "ok",
+        "r": args.r,
+        "m": args.m,
+        "count": len(classes),
+        "classes": [list(w.letters) for w in classes],
+    }
 
 
-def _cmd_census(args: argparse.Namespace) -> CommandResult:
-    if args.r < 1:
-        raise ValueError("r must be >= 1")
-    if args.m_max < 0:
-        raise ValueError("m-max must be >= 0")
+def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
+    if args.K is not None or args.V is not None:
+        if args.K is None or args.V is None:
+            raise ValueError("--K and --V must be given together")
+        if not args.volumes:
+            raise ValueError("--K/--V need --volumes")
+        if args.format == "csv":
+            raise ValueError("--K/--V apply only to JSON output")
     volumes = _load_volumes(args.volumes, args.r) if args.volumes else None
     rows = census_mod.theorem_table(args.r, args.m_max, volumes)
     _diag(
         "note: asymptotic column is m^-1 (2*pi*m)^-((r-1)/2) r^(rm-1); "
         "exact counts run a factor sqrt(r) above it (see ratio column)"
     )
+    liminf = census_mod.liminf_check(rows) if volumes and rows else None
     if args.format == "csv":
-        if volumes and rows:
-            _diag(f"liminf quotient: {census_mod.liminf_check(rows)}")
-        return CommandResult("ok", census_mod.table_to_csv(rows), is_csv=True)
+        if liminf is not None:
+            _diag(f"liminf quotient: {liminf}")
+        return 0, census_mod.table_to_csv(rows)
     payload: dict = {
         "status": "ok",
         "r": args.r,
         "m_max": args.m_max,
         "rows": [row.to_json() for row in rows],
     }
-    if volumes and rows:
-        liminf = census_mod.liminf_check(rows)
+    if liminf is not None:
         payload["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
-        if args.K is not None and args.V is not None:
+        if args.K is not None:
             K, V = _parse_fraction(args.K), _parse_fraction(args.V)
             payload["lcom"] = [
                 {
@@ -236,13 +210,16 @@ def _cmd_census(args: argparse.Namespace) -> CommandResult:
                 }
                 for row in rows
             ]
-    return CommandResult("ok", payload)
+    return 0, payload
 
 
 # ------------------------------------------------------------------ parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command grammar, built on the first `main` call and reused: argparse
+    keeps no state between `parse_args` calls."""
     parser = argparse.ArgumentParser(
         prog="hybrid-census",
         description="Exact certificates for form noncommensurability, cyclic gluing "
@@ -308,22 +285,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.handler(args)
+        code, payload = args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _diag(f"error: {exc}")
-        print(json.dumps({"status": "error", "message": str(exc)}, sort_keys=True))
-        return 2
-    if result.is_csv:
-        sys.stdout.write(result.payload)
+        code, payload = 2, {"status": "error", "message": str(exc)}
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
     else:
-        print(json.dumps(result.payload, sort_keys=True))
-    return result.exit_code
+        print(json.dumps(payload, sort_keys=True))
+    return code
 
 
 def entry() -> None:

@@ -318,7 +318,8 @@ def valuation_f(x: Sqrt2Int, place: LocalPlace) -> LocalValue:
     bound = _vp_int(x.norm(), p) + 1
     root = hensel_lift_sqrt2(place, bound)
     t = (x.u + x.v * root) % p**bound
-    assert t != 0
+    if t == 0:
+        raise ValueError(f"valuation_f: {x!r} vanishes mod {p}^{bound}, past its precision bound")
     val = 0
     while t % p == 0:
         t //= p

@@ -12,7 +12,7 @@ noncommensurability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .exact_arith import (
     SQRT2,
@@ -105,8 +105,7 @@ def _sign_at_embedding(c: Sqrt2Int, conjugate: bool) -> int:
         return 1
     if u <= 0 and v <= 0:
         return -1
-    d = u * u - 2 * v * v
-    assert d != 0  # u^2 = 2 v^2 has no nonzero integer solutions
+    d = u * u - 2 * v * v  # nonzero: u^2 = 2 v^2 has no nonzero integer solutions
     if u > 0:
         return 1 if d > 0 else -1
     return 1 if d < 0 else -1
@@ -150,15 +149,6 @@ class LocalInvariants:
             "hasse": self.hasse,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "LocalInvariants":
-        return LocalInvariants(
-            int(obj["dim"]),
-            int(obj["disc_val_parity"]),
-            int(obj["disc_unit_qr"]),
-            int(obj["hasse"]),
-        )
-
 
 def hilbert_symbol(
     a: LocalValue, b: LocalValue, place: Union[LocalPlace, int]
@@ -183,21 +173,29 @@ def hilbert_symbol(
     return s
 
 
-def _class_value(lam: str, place: LocalPlace) -> LocalValue:
-    """Representative of a square class of Q_p^*: 1, u (smallest non-residue), p, up."""
-    if lam not in SQUARE_CLASSES:
-        raise ValueError(f"unknown square class {lam!r}, expected one of {SQUARE_CLASSES}")
-    unit = smallest_nonresidue(place.p) if "u" in lam else 1
-    return LocalValue(1 if "p" in lam else 0, unit)
+def _square_classes(p: int) -> Iterator[tuple[str, LocalValue]]:
+    """The square classes of Q_p^* with representatives 1, u, p, up, where u is
+    the smallest non-residue, searched for once and only when first needed."""
+    yield "1", LocalValue(0, 1)
+    u = smallest_nonresidue(p)
+    yield "u", LocalValue(0, u)
+    yield "p", LocalValue(1, 1)
+    yield "up", LocalValue(1, u)
+
+
+def _local_values(q: DiagonalForm, place: LocalPlace) -> list[LocalValue]:
+    return [valuation_f(c, place) for c in q.coeffs]
+
+
+def _scale(local: list[LocalValue], scale: LocalValue, p: int) -> list[LocalValue]:
+    return [LocalValue(c.val + scale.val, c.unit * scale.unit % p) for c in local]
 
 
 def _invariants_with_table(
-    q: DiagonalForm, place: LocalPlace, scale: Optional[LocalValue] = None
-) -> tuple[LocalInvariants, list[LocalValue], list[tuple[int, int, int]]]:
-    p = place.p
-    local = [valuation_f(c, place) for c in q.coeffs]
-    if scale is not None:
-        local = [LocalValue(c.val + scale.val, c.unit * scale.unit % p) for c in local]
+    local: list[LocalValue], p: int
+) -> tuple[LocalInvariants, list[tuple[int, int, int]]]:
+    """Invariants of the diagonal form with these local coefficient values,
+    and its Hilbert-symbol table."""
     symbols = []
     hasse = 1
     for i in range(len(local)):
@@ -209,15 +207,18 @@ def _invariants_with_table(
     disc_unit = 1
     for c in local:
         disc_unit = disc_unit * c.unit % p
-    inv = LocalInvariants(q.dim, disc_val % 2, legendre(disc_unit, p, validate=False), hasse)
-    return inv, local, symbols
+    inv = LocalInvariants(len(local), disc_val % 2, legendre(disc_unit, p, validate=False), hasse)
+    return inv, symbols
 
 
 def local_invariants(
     q: DiagonalForm, place: LocalPlace, scale: Optional[LocalValue] = None
 ) -> LocalInvariants:
     """Invariants of q (or of lambda * q when scale is the class of lambda) over Q_p."""
-    return _invariants_with_table(q, place, scale)[0]
+    local = _local_values(q, place)
+    if scale is not None:
+        local = _scale(local, scale, place.p)
+    return _invariants_with_table(local, place.p)[0]
 
 
 def hasse_witt(q: DiagonalForm, place: LocalPlace) -> int:
@@ -233,7 +234,9 @@ def disc_class(q: DiagonalForm, place: LocalPlace) -> tuple[int, int]:
 
 def scaled_invariants(q: DiagonalForm, place: LocalPlace, lam: str) -> LocalInvariants:
     """Invariants of lambda * q for lambda in the square class "1", "u", "p" or "up"."""
-    return local_invariants(q, place, _class_value(lam, place))
+    if lam not in SQUARE_CLASSES:
+        raise ValueError(f"unknown square class {lam!r}, expected one of {SQUARE_CLASSES}")
+    return local_invariants(q, place, dict(_square_classes(place.p))[lam])
 
 
 # ------------------------------------------------------------- certificates
@@ -311,11 +314,15 @@ def _witness_at(
 ) -> Optional[dict]:
     """The LocalWitness table at one place: the target's invariants and one row
     per square class of scalars, or None as soon as some class matches."""
-    tgt_inv, tgt_local, tgt_syms = _invariants_with_table(target, place)
+    p = place.p
+    tgt_local = _local_values(target, place)
+    tgt_inv, tgt_syms = _invariants_with_table(tgt_local, p)
     tgt_json = tgt_inv.to_json()
+    scaled_local = _local_values(scaled, place)
     rows = []
-    for lam in SQUARE_CLASSES:
-        inv, local, syms = _invariants_with_table(scaled, place, _class_value(lam, place))
+    for lam, scale in _square_classes(p):
+        local = _scale(scaled_local, scale, p)
+        inv, syms = _invariants_with_table(local, p)
         inv_json = inv.to_json()
         mismatches = [f for f, v in inv_json.items() if v != tgt_json[f]]
         if not mismatches:
@@ -323,7 +330,7 @@ def _witness_at(
         row = {"lambda": lam, "invariants": inv_json, "mismatches": mismatches}
         rows.append(row | _symbols_json(local, syms))
     return {
-        "p": place.p,
+        "p": p,
         "sqrt2_root": place.sqrt2_root,
         "target": dict(invariants=tgt_json, **_symbols_json(tgt_local, tgt_syms)),
         "rows": rows,

@@ -1,6 +1,10 @@
+import argparse
+import importlib
 import json
 
-from hybridcensus import exact_arith
+import pytest
+
+from hybridcensus import cli, exact_arith
 from hybridcensus.cli import main
 from hybridcensus.gluing import necklace_count
 from hybridcensus.exact_arith import LocalPlace
@@ -238,6 +242,26 @@ class TestCensus:
         )
         assert code == 2 and "JSON object" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--volumes", "VOLS", "--K", "2"], "--K and --V must be given together"),
+            (["--volumes", "VOLS", "--V", "1"], "--K and --V must be given together"),
+            (["--K", "2"], "--K and --V must be given together"),
+            (["--K", "2", "--V", "1"], "--K/--V need --volumes"),
+            (
+                ["--volumes", "VOLS", "--K", "2", "--V", "1", "--format", "csv"],
+                "--K/--V apply only to JSON output",
+            ),
+        ],
+    )
+    def test_K_V_contract(self, capsys, tmp_path, extra, message):
+        vols = tmp_path / "volumes.json"
+        vols.write_text('{"1": "1", "2": "1"}', encoding="utf-8")
+        extra = [str(vols) if x == "VOLS" else x for x in extra]
+        code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "4", *extra)
+        assert code == 2 and payload == {"status": "error", "message": message}
+
     def test_missing_volume_entry(self, capsys, tmp_path):
         vols = tmp_path / "volumes.json"
         vols.write_text('{"1": "1"}', encoding="utf-8")
@@ -264,3 +288,53 @@ class TestHarness:
         _, out, _ = run(capsys, "words", "canon", "--word", "1,2")
         assert out.count("\n") == 1
         json.loads(out)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["forms", "certify", "--n", "1", "--a", "7", "--a-prime", "23"],
+             "hyperbolic dimension n must be >= 2"),
+            (["census", "--r", "0", "--m-max", "4"], "alphabet size r must be >= 1"),
+            (["census", "--r", "2", "--m-max", "-1"], "m_max must be >= 0"),
+        ],
+    )
+    def test_library_argument_errors_exit_2(self, capsys, argv, message):
+        code, payload, err = run_json(capsys, *argv)
+        assert code == 2 and payload == {"status": "error", "message": message}
+        assert "Traceback" not in err
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ["words", "canon", "--word", "2,1,1,3,2,1"]
+        _, alone, _ = run(capsys, *argv)
+        for bad in (
+            ["words", "canon", "--word"],
+            ["words", "canon", "--word", "1,2", "--r", "x"],
+            ["census", "--r", "2", "--m-max", "x"],
+            ["bogus"],
+        ):
+            assert main(bad) == 2
+            capsys.readouterr()
+        _, after, _ = run(capsys, *argv)
+        assert after == alone
+        # an option given on one call is not a default on the next
+        run(capsys, "words", "canon", "--word", "2,1,1,3,2,1", "--r", "5")
+        _, again, _ = run(capsys, *argv)
+        assert again == alone
+
+    def test_parser_built_once_per_import(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        importlib.reload(cli)
+        assert built == []  # importing builds no parser
+        assert cli.main(["words", "canon", "--word", "1,2"]) == 0
+        assert built
+        first = len(built)
+        assert cli.main(["census", "--r", "2", "--m-max", "3"]) == 0
+        assert len(built) == first
+        capsys.readouterr()

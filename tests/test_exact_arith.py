@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hybridcensus import exact_arith
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -243,6 +244,13 @@ class TestValuationF:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="valuation of zero"):
             valuation_f(Sqrt2Int(0, 0), LocalPlace.at(7))
+
+    def test_vanishing_past_bound_is_value_error(self, monkeypatch):
+        # a root of 2 that is wrong (6^2 = 1 mod 7) embeds 1 + sqrt2 as 7 = 0 mod 7^1;
+        # the check is a raise, not an assert that `python -O` would strip
+        monkeypatch.setattr(exact_arith, "hensel_lift_sqrt2", lambda place, k: 6)
+        with pytest.raises(ValueError, match="precision bound"):
+            valuation_f(Sqrt2Int(1, 1), LocalPlace.at(7))
 
     def test_deep_divisibility(self):
         p7 = LocalPlace.at(7)

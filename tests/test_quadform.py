@@ -213,6 +213,17 @@ class TestSignatures:
         both_lorentz = DiagonalForm(Q7.coeffs[:-1] + (Sqrt2Int(-1),))
         assert signatures(both_lorentz) == (1, 1)
         assert not is_admissible(both_lorentz)
+        # u and v of opposite signs: 1 - sqrt2 < 0 < 1 + sqrt2, -1 + sqrt2 > 0 > -1 - sqrt2,
+        # 3 - 2 sqrt2 > 0 at both embeddings and -3 + 2 sqrt2 < 0 at both
+        for last, sig in (
+            (Sqrt2Int(1, -1), (1, 0)),
+            (Sqrt2Int(-1, 1), (0, 1)),
+            (Sqrt2Int(3, -2), (0, 0)),
+            (Sqrt2Int(-3, 2), (1, 1)),
+        ):
+            mixed = DiagonalForm(Q7.coeffs[:-1] + (last,))
+            assert signatures(mixed) == sig
+            assert is_admissible(mixed) == (sig in ((1, 0), (0, 1)))
 
     def test_anisotropy_certificate(self):
         assert is_anisotropic_certified(Q7)
