@@ -117,17 +117,20 @@ def theorem_table(
     r: int, m_max: int, piece_volumes: Optional[dict[int, Fraction]] = None
 ) -> list[CensusRow]:
     """Rows m = 1..m_max of exact counts, 2^m, the multinomial bound and the
-    Stirling asymptotic (kept in log space)."""
+    Stirling asymptotic (kept in log space).
+
+    Rows are built in increasing m, so each row's counts extend the
+    multinomials `gluing` walked upward for the row before.
+    """
     if r < 1:
         raise ValueError("alphabet size r must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    unit_volume = None
+    if piece_volumes is not None:
+        unit_volume = sum((Fraction(piece_volumes[k]) for k in range(1, r + 1)), Fraction(0))
     rows = []
     for m in range(1, m_max + 1):
-        counts = {k: m for k in range(1, r + 1)}
-        total = None
-        if piece_volumes is not None:
-            total = sum((Fraction(piece_volumes[k]) * m for k in counts), Fraction(0))
         rows.append(
             CensusRow(
                 m=m,
@@ -135,7 +138,10 @@ def theorem_table(
                 power_bound=2**m,
                 multinomial_bound=multinomial_lower_bound(r, m),
                 asymptotic_log=asymptotic_log(r, m),
-                volume=VolumeVector(counts, total),
+                volume=VolumeVector(
+                    {k: m for k in range(1, r + 1)},
+                    None if unit_volume is None else unit_volume * m,
+                ),
             )
         )
     return rows

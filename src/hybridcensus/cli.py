@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -179,6 +180,9 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
             raise ValueError("--K/--V need --volumes")
         if args.format == "csv":
             raise ValueError("--K/--V apply only to JSON output")
+        K, V = _parse_fraction(args.K), _parse_fraction(args.V)
+        if K <= 0 or V <= 0:
+            raise ValueError("K and V must be positive")
     volumes = _load_volumes(args.volumes, args.r) if args.volumes else None
     rows = census_mod.theorem_table(args.r, args.m_max, volumes)
     _diag(
@@ -199,7 +203,6 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
     if liminf is not None:
         payload["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
         if args.K is not None:
-            K, V = _parse_fraction(args.K), _parse_fraction(args.V)
             payload["lcom"] = [
                 {
                     "m": row.m,
@@ -294,10 +297,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _diag(f"error: {exc}")
         code, payload = 2, {"status": "error", "message": str(exc)}
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    try:
+        if isinstance(payload, str):
+            sys.stdout.write(payload)
+        else:
+            print(json.dumps(payload, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -182,19 +183,52 @@ def _totient(n: int) -> int:
     return result
 
 
+class _MultinomialWalk:
+    """M(r, k) = (rk)! / (k!)^r for k = 0, 1, 2, ..., for one alphabet size r.
+
+    M(r, k) = M(r, k-1) * (rk-r+1)...(rk) / k^r, and the division is exact,
+    so extending the sequence by one term costs a multiplication and a
+    division of its numbers by small ones, no factorial.  Only the last r
+    asked for is kept: a new r starts the sequence again at k = 0.  The
+    lock makes the check of r and the extension one step for concurrent
+    callers.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._r = 0
+        self._values = [1]
+
+    def __call__(self, r: int, k: int) -> int:
+        with self._lock:
+            if r != self._r:
+                self._r, self._values = r, [1]
+            values = self._values
+            for j in range(len(values), k + 1):
+                values.append(values[-1] * math.perm(r * j, r) // j**r)
+            return values[k]
+
+
+_multinomial = _MultinomialWalk()
+
+
 def necklace_count(r: int, m: int) -> int:
     """Number of rotation classes of words of length r*m with exactly m copies
     of each of r letters.
 
     Burnside over the rotation group: (1/(rm)) * sum over d | m of
-    phi(d) * (rm/d)! / ((m/d)!)^r.
+    phi(d) * (rm/d)! / ((m/d)!)^r, with the divisors taken in pairs
+    (d, m/d) for d up to isqrt(m).
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     total = 0
-    for d in range(1, m + 1):
+    for d in range(1, math.isqrt(m) + 1):
         if m % d == 0:
-            total += _totient(d) * math.factorial(r * m // d) // math.factorial(m // d) ** r
+            e = m // d
+            total += _totient(d) * _multinomial(r, e)
+            if e != d:
+                total += _totient(e) * _multinomial(r, d)
     return total // (r * m)
 
 
@@ -202,7 +236,7 @@ def multinomial_lower_bound(r: int, m: int) -> Fraction:
     """(rm)! / ((m!)^r * rm): the orbit count is at least this, exactly."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    return Fraction(math.factorial(r * m), math.factorial(m) ** r * (r * m))
+    return Fraction(_multinomial(r, m), r * m)
 
 
 def _fixed_content_words(r: int, m: int) -> Iterator[tuple[int, ...]]:

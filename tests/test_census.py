@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from factorial_oracle import burnside_count, multinomial_bound
 
 from hybridcensus.census import (
     CensusRow,
@@ -56,8 +57,11 @@ class TestVolumeOf:
 
 class TestTheoremTable:
     def test_counts_match_oracle(self):
-        rows = theorem_table(2, 8)
-        assert [row.exact_count for row in rows] == [necklace_count(2, m) for m in range(1, 9)]
+        for r, m_max in ((2, 8), (2, 300), (5, 80), (8, 60)):
+            rows = theorem_table(r, m_max)
+            assert [(row.exact_count, row.multinomial_bound) for row in rows] == [
+                (burnside_count(r, m), multinomial_bound(r, m)) for m in range(1, m_max + 1)
+            ]
 
     def test_m2_row(self):
         row = theorem_table(2, 2)[1]

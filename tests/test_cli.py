@@ -1,6 +1,10 @@
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,17 @@ class TestCensus:
                 ["--volumes", "VOLS", "--K", "2", "--V", "1", "--format", "csv"],
                 "--K/--V apply only to JSON output",
             ),
+            # K and V are checked before the table is built, so an empty
+            # table does not hide them
+            (
+                ["--m-max", "0", "--volumes", "VOLS", "--K", "abc", "--V", "-3"],
+                "malformed rational 'abc': expected 'p' or 'p/q'",
+            ),
+            (
+                ["--m-max", "3", "--volumes", "VOLS", "--K", "abc", "--V", "-3"],
+                "malformed rational 'abc': expected 'p' or 'p/q'",
+            ),
+            (["--m-max", "0", "--volumes", "VOLS", "--K", "2", "--V", "-3"], "K and V must be positive"),
         ],
     )
     def test_K_V_contract(self, capsys, tmp_path, extra, message):
@@ -338,3 +353,17 @@ class TestHarness:
         assert cli.main(["census", "--r", "2", "--m-max", "3"]) == 0
         assert len(built) == first
         capsys.readouterr()
+
+    def test_stdout_closed_early_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "hybridcensus.cli", "words", "enumerate", "--r", "2", "--m", "10"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            # the payload is far larger than a pipe buffer, so the write meets the closed pipe
+            assert proc.stdout.read(5) == b'{"cla'
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        assert code == 0
+        assert "Traceback" not in err

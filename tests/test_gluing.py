@@ -1,9 +1,11 @@
-import math
+import os
 import random
-from fractions import Fraction
+import sys
+import threading
 from itertools import chain
 
 import pytest
+from factorial_oracle import burnside_count, multinomial, multinomial_bound
 
 from hybridcensus.gluing import (
     CyclicWord,
@@ -259,11 +261,45 @@ class TestNecklaceCount:
     def test_multinomial_bound(self):
         for r in (2, 3):
             for m in range(1, 16):
-                bound = multinomial_lower_bound(r, m)
-                assert bound == Fraction(
-                    math.factorial(r * m), math.factorial(m) ** r * r * m
-                )
-                assert necklace_count(r, m) >= bound
+                assert necklace_count(r, m) >= multinomial_lower_bound(r, m)
+
+    def test_walk_matches_factorial_oracle(self):
+        # a shuffled order meets the walk cold, warm and just after a change of r
+        pairs = [(r, m) for r in range(1, 9) for m in range(1, 49)] * 2
+        random.Random(0).shuffle(pairs)
+        for r, m in pairs:
+            assert necklace_count(r, m) == burnside_count(r, m), (r, m)
+            assert multinomial_lower_bound(r, m) == multinomial_bound(r, m), (r, m)
+
+    def test_concurrent_callers_agree_with_oracle(self):
+        pairs = [(r, m) for r in (2, 3, 5, 8) for m in range(1, 41)]
+        expected = {(r, m): (burnside_count(r, m), multinomial_bound(r, m)) for r, m in pairs}
+        n_threads = (os.cpu_count() or 1) + 4
+        wrong: list[tuple] = []
+        done: list[int] = []
+
+        def work(seed: int) -> None:
+            order = pairs * 4
+            random.Random(seed).shuffle(order)
+            for r, m in order:
+                got = (necklace_count(r, m), multinomial_lower_bound(r, m))
+                if got != expected[(r, m)]:
+                    wrong.append((r, m, got))
+            done.append(seed)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert sorted(done) == list(range(n_threads))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -319,4 +355,4 @@ class TestEnumerateClasses:
                 r * m // dihedral_stabilizer(w).rotation_order
                 for w in enumerate_classes(r, m)
             )
-            assert total == math.factorial(r * m) // math.factorial(m) ** r
+            assert total == multinomial(r, m)
