@@ -53,6 +53,12 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _piece_volume(piece_volumes: dict[int, Fraction], k: int) -> Fraction:
+    if k not in piece_volumes:
+        raise ValueError(f"piece volumes are missing piece {k}")
+    return Fraction(piece_volumes[k])
+
+
 def volume_of(
     w: CyclicWord, piece_volumes: Optional[dict[int, Fraction]] = None
 ) -> VolumeVector:
@@ -63,7 +69,7 @@ def volume_of(
         counts[x] += 1
     total = None
     if piece_volumes is not None:
-        total = sum((Fraction(piece_volumes[k]) * counts[k] for k in counts), Fraction(0))
+        total = sum((_piece_volume(piece_volumes, k) * counts[k] for k in counts), Fraction(0))
     return VolumeVector(counts, total)
 
 
@@ -103,13 +109,16 @@ class CensusRow:
         }
 
 
-def render_log_scientific(log_value: float, digits: int = 9) -> str:
+_MANTISSA_DIGITS = 9
+
+
+def render_log_scientific(log_value: float) -> str:
     """Scientific-notation string for exp(log_value) without overflowing floats."""
     log10 = log_value / math.log(10)
     exp10 = math.floor(log10)
-    mantissa = f"{10.0 ** (log10 - exp10):.{digits}f}"
+    mantissa = f"{10.0 ** (log10 - exp10):.{_MANTISSA_DIGITS}f}"
     if mantissa.startswith("10"):  # rounding carried into the next decade
-        mantissa, exp10 = f"{1:.{digits}f}", exp10 + 1
+        mantissa, exp10 = f"{1:.{_MANTISSA_DIGITS}f}", exp10 + 1
     return f"{mantissa}e{exp10:+d}"
 
 
@@ -128,7 +137,9 @@ def theorem_table(
         raise ValueError("m_max must be >= 0")
     unit_volume = None
     if piece_volumes is not None:
-        unit_volume = sum((Fraction(piece_volumes[k]) for k in range(1, r + 1)), Fraction(0))
+        unit_volume = sum(
+            (_piece_volume(piece_volumes, k) for k in range(1, r + 1)), Fraction(0)
+        )
     rows = []
     for m in range(1, m_max + 1):
         rows.append(
@@ -169,24 +180,20 @@ def lcom_lower_bound(v: Fraction, K: Fraction, V: Fraction) -> int:
     return 2 ** (v // K)
 
 
-def liminf_check(rows: list[CensusRow], K: Optional[Fraction] = None) -> Fraction:
+def liminf_check(rows: list[CensusRow]) -> Fraction:
     """Minimum over rows of floor(log2 a_m) / volume, as an exact rational.
 
     floor(log2 a_m) = bit_length - 1 keeps the quotient rational while
-    staying a true lower bound.  Rows carry their numeric volume when the
-    table was built with piece volumes; otherwise K scales the denominator
-    as m*K.
+    staying a true lower bound.  Rows carry a numeric volume only when the
+    table was built with piece volumes, and every row must carry one.
     """
     if not rows:
         raise ValueError("empty table")
     quotients = []
     for row in rows:
-        if row.volume.numeric_total is not None:
-            denom = row.volume.numeric_total
-        elif K is not None:
-            denom = row.m * Fraction(K)
-        else:
-            raise ValueError("rows lack numeric volumes and no K was given")
+        denom = row.volume.numeric_total
+        if denom is None:
+            raise ValueError("rows lack numeric volumes")
         if denom <= 0:
             raise ValueError("volumes must be positive")
         quotients.append(Fraction(row.exact_count.bit_length() - 1) / denom)

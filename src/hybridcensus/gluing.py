@@ -2,10 +2,10 @@
 
 A word over {1, ..., r} read around Z/mZ encodes which building piece
 sits at each slot of a cyclic gluing; two words describe commensurable
-glued objects exactly when they lie in the same rotation orbit.  This
-module canonicalizes words (Booth's least-rotation algorithm), decides
-orbit equality with a witness shift, reports dihedral stabilizers, and
-counts fixed-content rotation classes exactly.
+glued objects exactly when they lie in the same rotation orbit.  One
+Duval pass over w.w yields the least rotation and the period, which
+canonicalize words, decide orbit equality with a witness shift and give
+dihedral stabilizers.  Fixed-content rotation classes are counted exactly.
 """
 
 from __future__ import annotations
@@ -73,43 +73,39 @@ class CyclicWord:
         return ",".join(str(x) for x in self.letters)
 
 
-def _least_rotation_index(seq: tuple[int, ...]) -> int:
-    """Booth's algorithm: smallest index starting the lexicographically least rotation."""
-    s = seq + seq
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % len(seq)
+def _duval(letters: tuple[int, ...]) -> tuple[int, int]:
+    """(smallest start of the least rotation, period) of a word, in one pass.
+
+    Duval's Lyndon factorization (J. Algorithms 4, 1983) of w.w: each step
+    reads a run u^e u' (u Lyndon, u' a proper prefix of u) and skips its
+    copies of u.  The last step starting in the first copy of w starts the
+    least rotation, at its run's first copy; from there w.w is a necklace
+    g^(m/d) and a prefix of it, so that step reads to the end with u = g.
+    """
+    s = letters + letters
+    m, n = len(letters), len(s)
+    i = 0
+    while True:
+        start, j, k = i, i + 1, i
+        while j < n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+        if i >= m:
+            return start, j - k
 
 
 def canonical_rotation(w: CyclicWord) -> tuple[CyclicWord, int]:
-    """Lexicographically least rotation and the shift that realizes it."""
-    shift = _least_rotation_index(w.letters)
+    """Lexicographically least rotation and the smallest shift that realizes it."""
+    shift, _ = _duval(w.letters)
     return w.rotate(shift), shift
-
-
-def _period(letters: tuple[int, ...]) -> int:
-    m = len(letters)
-    return next(
-        d for d in range(1, m + 1) if m % d == 0 and letters[d:] + letters[:d] == letters
-    )
 
 
 def primitive_root(w: CyclicWord) -> CyclicWord:
     """Shortest word g with w = g repeated m/|g| times."""
-    return CyclicWord(w.letters[: _period(w.letters)], w.r)
+    _, period = _duval(w.letters)
+    return CyclicWord(w.letters[:period], w.r)
 
 
 def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]]:
@@ -123,11 +119,12 @@ def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]
         raise ValueError(f"length mismatch: {alpha.m} vs {beta.m}")
     if alpha.r != beta.r:
         raise ValueError(f"alphabet mismatch: {alpha.r} vs {beta.r}")
-    canon_a, shift_a = canonical_rotation(alpha)
-    canon_b, shift_b = canonical_rotation(beta)
-    if canon_a.letters != canon_b.letters:
+    a, b = alpha.letters, beta.letters
+    shift_a, period = _duval(a)
+    shift_b, _ = _duval(b)
+    if a[shift_a:] + a[:shift_a] != b[shift_b:] + b[:shift_b]:
         return False, None
-    return True, (shift_a - shift_b) % _period(alpha.letters)
+    return True, (shift_a - shift_b) % period
 
 
 # -------------------------------------------------------------- stabilizers
@@ -154,9 +151,11 @@ def dihedral_stabilizer(w: CyclicWord) -> StabilizerReport:
     m - 1 - t; so some reflection fixes w exactly when the reversed word
     lies in the rotation class of w.
     """
-    rotations = w.m // _period(w.letters)
-    reflection = same_class(w, CyclicWord(w.letters[::-1], w.r))[0]
-    return StabilizerReport(rotations, reflection)
+    letters, rev = w.letters, w.letters[::-1]
+    shift, period = _duval(letters)
+    rev_shift, _ = _duval(rev)
+    reflection = letters[shift:] + letters[:shift] == rev[rev_shift:] + rev[:rev_shift]
+    return StabilizerReport(w.m // period, reflection)
 
 
 def isometry_upper_bound(w: CyclicWord, piece_bound: int) -> int:

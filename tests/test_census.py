@@ -31,6 +31,10 @@ class TestVolumeOf:
         vv = volume_of(CyclicWord((2, 1, 1), 2))
         assert vv.counts == {1: 2, 2: 1}
 
+    def test_missing_piece_volume(self):
+        with pytest.raises(ValueError, match="missing piece 2"):
+            volume_of(CyclicWord((2, 1, 1), 2), {1: Fraction(1)})
+
     def test_rotation_invariance(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -96,6 +100,10 @@ class TestTheoremTable:
             theorem_table(0, 4)
         with pytest.raises(ValueError):
             theorem_table(2, -1)
+
+    def test_missing_piece_volume(self):
+        with pytest.raises(ValueError, match="missing piece 2"):
+            theorem_table(2, 3, {1: Fraction(1)})
 
 
 class TestAsymptotic:
@@ -165,12 +173,6 @@ class TestLiminfCheck:
         full_rows = theorem_table(2, 16, UNIT_VOLUMES)[5:]
         half_rows = theorem_table(2, 16, half)[5:]
         assert liminf_check(half_rows) == 2 * liminf_check(full_rows)
-
-    def test_fallback_to_K(self):
-        rows = theorem_table(2, 16)[5:]
-        assert liminf_check(rows, K=Fraction(2)) == liminf_check(
-            theorem_table(2, 16, UNIT_VOLUMES)[5:]
-        )
 
     def test_missing_volumes_and_K(self):
         with pytest.raises(ValueError):

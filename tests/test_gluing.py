@@ -34,6 +34,12 @@ def random_word(rng, max_len=12, max_r=3):
     return CyclicWord(tuple(rng.randrange(1, r + 1) for _ in range(m)), r)
 
 
+def periodic_word(rng, max_block=4):
+    """A random block of at most max_block letters repeated 2 to 5 times."""
+    block = random_word(rng, max_len=max_block)
+    return CyclicWord(block.letters * rng.randrange(2, 6), block.r)
+
+
 class TestCyclicWord:
     def test_parse(self):
         w = CyclicWord.parse("2,1,1")
@@ -77,11 +83,14 @@ class TestCanonicalRotation:
 
     def test_matches_naive_minimum(self):
         rng = random.Random(22)
-        for _ in range(500):
-            w = random_word(rng)
+        random_words = [random_word(rng) for _ in range(500)]
+        for w in random_words + [periodic_word(rng) for _ in range(300)]:
             canon, shift = canonical_rotation(w)
-            assert canon.letters == naive_min_rotation(w.letters)
+            least = naive_min_rotation(w.letters)
+            assert canon.letters == least
             assert w.rotate(shift) == canon
+            # the CLI prints the shift, so it must be the smallest start
+            assert shift == min(s for s in range(w.m) if w.rotate(s).letters == least)
 
     def test_rotation_invariance(self):
         rng = random.Random(23)
@@ -160,11 +169,15 @@ class TestPrimitiveRoot:
 
     def test_root_reconstructs_word(self):
         rng = random.Random(26)
-        for _ in range(200):
-            w = random_word(rng)
+        random_words = [random_word(rng) for _ in range(200)]
+        for w in random_words + [periodic_word(rng) for _ in range(200)]:
             g = primitive_root(w)
-            assert w.m % g.m == 0
-            assert g.letters * (w.m // g.m) == w.letters
+            letters = w.letters
+            shortest = min(
+                d for d in range(1, w.m + 1) if w.m % d == 0 and letters[d:] + letters[:d] == letters
+            )
+            assert g.m == shortest
+            assert g.letters * (w.m // g.m) == letters
 
 
 class TestDihedralStabilizer:
