@@ -42,7 +42,13 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"volume file {path} must hold a JSON object of piece volumes")
-    volumes = {int(k): _parse_fraction(str(v)) for k, v in raw.items()}
+    volumes = {}
+    for k, v in raw.items():
+        try:
+            piece = int(k)
+        except ValueError:
+            raise ValueError(f"volume file {path} has key {k!r}: expected a piece number") from None
+        volumes[piece] = _parse_fraction(str(v))
     for k in range(1, r + 1):
         if k not in volumes:
             raise ValueError(f"volume file {path} is missing piece {k}")
@@ -129,14 +135,12 @@ def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
-    r = args.r
-    if r is None:
-        r = max(
-            max(int(x) for x in args.alpha.split(",")),
-            max(int(x) for x in args.beta.split(",")),
-        )
-    alpha = gluing.CyclicWord.parse(args.alpha, r)
-    beta = gluing.CyclicWord.parse(args.beta, r)
+    alpha = gluing.CyclicWord.parse(args.alpha, args.r)
+    beta = gluing.CyclicWord.parse(args.beta, args.r)
+    if alpha.r != beta.r:
+        # --r omitted: read both words over the larger implied alphabet
+        r = max(alpha.r, beta.r)
+        alpha, beta = gluing.CyclicWord(alpha.letters, r), gluing.CyclicWord(beta.letters, r)
     ok, shift = gluing.same_class(alpha, beta)
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")

@@ -246,24 +246,23 @@ class LocalPlace:
 
     p: int
     sqrt2_root: int
-    root_is_qr: bool
 
     def __post_init__(self) -> None:
         p, c = self.p, self.sqrt2_root
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"invalid place: {p} is not an odd prime")
-        if legendre(2, p, validate=False) != 1:
-            raise ValueError(f"invalid place: 2 is not a square mod {p}")
-        if not (1 <= c < p) or c * c % p != 2 % p:
+        if not (1 <= c < p) or c * c % p != 2:
             raise ValueError(f"invalid place: {c}^2 != 2 mod {p}")
-        is_qr = legendre(c, p, validate=False) == 1
-        if self.root_is_qr != is_qr:
-            raise ValueError("invalid place: root_is_qr flag is inconsistent")
-        if p % 8 == 7 and not is_qr:
+        if p % 8 == 7 and not self.root_is_qr:
             raise ValueError(
                 f"invalid place: for p = 7 (mod 8) the residue root is required "
                 f"(use {p - c} instead of {c})"
             )
+
+    @property
+    def root_is_qr(self) -> bool:
+        """Whether the chosen root of 2 is itself a square mod p."""
+        return legendre(self.sqrt2_root, self.p, validate=False) == 1
 
     @classmethod
     def at(cls, p: int) -> "LocalPlace":
@@ -273,14 +272,7 @@ class LocalPlace:
             raise ValueError(f"invalid place: 2 is not a square mod {p}")
         if p % 8 == 7 and legendre(c, p, validate=False) != 1:
             c = p - c
-        return cls(p, c, legendre(c, p, validate=False) == 1)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "sqrt2_root": self.sqrt2_root, "root_is_qr": self.root_is_qr}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LocalPlace":
-        return LocalPlace(int(obj["p"]), int(obj["sqrt2_root"]), bool(obj["root_is_qr"]))
+        return cls(p, c)
 
 
 def hensel_lift_sqrt2(place: LocalPlace, k: int) -> int:

@@ -11,6 +11,7 @@ noncommensurability.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -274,20 +275,20 @@ class NoncommCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "NoncommCertificate":
-        """Parse a certificate document; any missing or ill-typed field is a ValueError."""
+        """Parse a certificate document; only the document `to_json` writes is
+        accepted, so a missing, extra or ill-typed field is a ValueError."""
         try:
             cert = NoncommCertificate(
-                kind=str(obj["kind"]),
-                form=DiagonalForm.from_json(obj["form"]),
-                other_form=DiagonalForm.from_json(obj["other_form"]),
-                witness=dict(obj["witness"]),
-                swapped=dict(obj["swapped"]) if obj.get("swapped") else None,
+                obj["kind"],
+                DiagonalForm.from_json(obj["form"]),
+                DiagonalForm.from_json(obj["other_form"]),
+                obj["witness"],
+                obj["swapped"],
             )
-            n = int(obj["n"])
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-        if cert.n != n:
-            raise ValueError("certificate n does not match the stored forms")
+        if cert.to_json() != obj:
+            raise ValueError("malformed certificate: not the document to_json writes")
         return cert
 
 
@@ -309,12 +310,13 @@ def _symbols_json(local: list[LocalValue], symbols: list[tuple[int, int, int]]) 
     }
 
 
-def _witness_at(
-    target: DiagonalForm, scaled: DiagonalForm, place: LocalPlace
-) -> Optional[dict]:
-    """The LocalWitness table at one place: the target's invariants and one row
-    per square class of scalars, or None as soon as some class matches."""
-    p = place.p
+def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[dict]:
+    """The LocalWitness table at the place p: the target's invariants and one
+    row per square class of scalars, or None when p is not 7 (mod 8) or as
+    soon as some class matches."""
+    if p % 8 != 7:
+        return None
+    place = LocalPlace.at(p)
     tgt_local = _local_values(target, place)
     tgt_inv, tgt_syms = _invariants_with_table(tgt_local, p)
     tgt_json = tgt_inv.to_json()
@@ -355,9 +357,42 @@ def _scan_local_witness(
     norms = [c.norm() for c in scaled.coeffs]
     for p in range(7, place_budget + 1, 8):
         if any(n % p == 0 for n in tgt_norms) and all(n % p for n in norms) and is_prime(p):
-            witness = _witness_at(target, scaled, LocalPlace.at(p))
+            witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness
+    return None
+
+
+def _check_pair(q: DiagonalForm, q2: DiagonalForm) -> None:
+    if q.dim != q2.dim:
+        raise ValueError("forms must have the same dimension")
+    if not is_admissible(q) or not is_admissible(q2):
+        raise ValueError("both forms must be admissible")
+
+
+def _odd_certificate(q: DiagonalForm, q2: DiagonalForm) -> Optional[NoncommCertificate]:
+    """The OddDiscWitness, or None when the discriminant ratio is a square."""
+    product = _disc_ratio_product(q, q2)
+    is_sq, transcript = square_test_f(product)
+    if is_sq:
+        return None
+    witness = {"ratio_product": product.to_json(), "square_test": transcript}
+    return NoncommCertificate("OddDiscWitness", q, q2, witness)
+
+
+def _local_certificate(
+    q: DiagonalForm, q2: DiagonalForm, forward: Optional[dict], swapped: Optional[dict]
+) -> Optional[NoncommCertificate]:
+    """The LocalWitness certificate from the tables with q and with q2 as target.
+
+    A forward witness records the swapped table beside it.  When only the
+    swapped orientation separates, it certifies the same conclusion, since
+    q ~ lambda q2 iff q2 ~ (1/lambda) q.
+    """
+    if forward is not None:
+        return NoncommCertificate("LocalWitness", q, q2, dict(forward, direction="forward"), swapped)
+    if swapped is not None:
+        return NoncommCertificate("LocalWitness", q, q2, dict(swapped, direction="reverse"))
     return None
 
 
@@ -377,74 +412,30 @@ def certify_noncommensurable(
     within the budget; that is absence of a certificate, not a proof of
     commensurability.
     """
-    if q_a.dim != q_a2.dim:
-        raise ValueError("forms must have the same dimension")
+    _check_pair(q_a, q_a2)
     if n is not None and n != q_a.n:
         raise ValueError(f"stated n = {n} does not match the forms (n = {q_a.n})")
-    if not is_admissible(q_a) or not is_admissible(q_a2):
-        raise ValueError("both forms must be admissible")
-    n = q_a.n
-    if n % 2 == 1:
-        product = _disc_ratio_product(q_a, q_a2)
-        is_sq, transcript = square_test_f(product)
-        if is_sq:
-            return None
-        witness = {"ratio_product": product.to_json(), "square_test": transcript}
-        return NoncommCertificate("OddDiscWitness", q_a, q_a2, witness)
-    primary = _scan_local_witness(q_a, q_a2, place_budget)
-    swapped = _scan_local_witness(q_a2, q_a, place_budget)
-    if primary is not None:
-        primary["direction"] = "forward"
-        return NoncommCertificate("LocalWitness", q_a, q_a2, primary, swapped)
-    if swapped is not None:
-        # Only the swapped orientation separates; q ~ lambda q' iff q' ~ (1/lambda) q,
-        # so it certifies the same conclusion.
-        swapped["direction"] = "reverse"
-        return NoncommCertificate("LocalWitness", q_a, q_a2, swapped)
-    return None
-
-
-def _verify_local_table(
-    target: DiagonalForm, scaled: DiagonalForm, witness: dict
-) -> bool:
-    p = int(witness["p"])
-    return p % 8 == 7 and _witness_at(target, scaled, LocalPlace.at(p)) == witness
+    if q_a.n % 2 == 1:
+        return _odd_certificate(q_a, q_a2)
+    forward = _scan_local_witness(q_a, q_a2, place_budget)
+    return _local_certificate(q_a, q_a2, forward, _scan_local_witness(q_a2, q_a, place_budget))
 
 
 def verify_certificate(cert: NoncommCertificate) -> bool:
-    """Re-check a certificate from scratch, recomputing every symbol."""
+    """Re-check a certificate from scratch: rebuild it with certify's own code
+    at the places it names, and accept only an identical certificate."""
+    q, q2 = cert.form, cert.other_form
     try:
-        q, q2 = cert.form, cert.other_form
-        if q.dim != q2.dim or not is_admissible(q) or not is_admissible(q2):
-            return False
-        if cert.kind == "OddDiscWitness":
-            if q.n % 2 == 0:
-                return False
-            product = _disc_ratio_product(q, q2)
-            if Sqrt2Int.from_json(cert.witness["ratio_product"]) != product:
-                return False
-            is_sq, transcript = square_test_f(product)
-            return not is_sq and transcript == cert.witness["square_test"]
-        if cert.kind == "LocalWitness":
-            if q.n % 2 == 1:
-                return False
-            witness = dict(cert.witness)
-            direction = witness.pop("direction", "forward")
-            if direction == "forward":
-                target, scaled = q, q2
-            elif direction == "reverse":
-                target, scaled = q2, q
-            else:
-                return False
-            if not _verify_local_table(target, scaled, witness):
-                return False
-            if cert.swapped is not None:
-                swapped = dict(cert.swapped)
-                swapped.pop("direction", None)
-                if not _verify_local_table(scaled, target, swapped):
-                    return False
-            return True
-        return False
+        _check_pair(q, q2)
+        if q.n % 2 == 1:
+            return _odd_certificate(q, q2) == cert
+        witness = cert.witness
+        if witness["direction"] == "reverse":
+            forward, swapped = None, _witness_at(q2, q, witness["p"])
+        else:
+            forward = _witness_at(q, q2, witness["p"])
+            swapped = None if cert.swapped is None else _witness_at(q2, q, cert.swapped["p"])
+        return _local_certificate(q, q2, forward, swapped) == cert
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -474,11 +465,8 @@ def generate_family(n: int, count: int) -> list[DiagonalForm]:
         raise ValueError("hyperbolic dimension n must be >= 2")
     if count < 1:
         raise ValueError("count must be >= 1")
-    leads: list[int] = []
-    for p in primes_from(2):
-        if n % 2 == 0 and p % 8 != 7:
-            continue
-        leads.append(p)
-        if len(leads) == count:
-            break
-    return [DiagonalForm.standard(a, n) for a in leads]
+    if n % 2:
+        leads = primes_from(2)
+    else:
+        leads = (p for p in itertools.count(7, 8) if is_prime(p))
+    return [DiagonalForm.standard(a, n) for a in itertools.islice(leads, count)]

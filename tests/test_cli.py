@@ -11,7 +11,6 @@ import pytest
 from hybridcensus import cli, exact_arith
 from hybridcensus.cli import main
 from hybridcensus.gluing import necklace_count
-from hybridcensus.exact_arith import LocalPlace
 from hybridcensus.quadform import DiagonalForm, NoncommCertificate, _witness_at, verify_certificate
 
 
@@ -123,6 +122,29 @@ class TestFormsCertify:
             assert code == 2 and verified["status"] == "error"
             assert "malformed certificate" in verified["message"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["form"]["coeffs"][0].update(u=7.9),
+            lambda c: c["form"]["coeffs"][0].update(u=7),
+            lambda c: c.update(n=4.5),
+            lambda c: c["witness"].pop("direction"),
+            lambda c: c.update(note="hand-edited"),
+            lambda c: c.update(swapped={}),
+        ],
+        ids=["u-fraction", "u-number", "n-fraction", "no-direction", "extra-key", "empty-swapped"],
+    )
+    def test_verify_refuses_hand_edits(self, capsys, tmp_path, edit):
+        _, payload, _ = run_json(
+            capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"
+        )
+        edit(payload["certificate"])
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
+        assert code == 2 and verified["status"] == "error"
+        assert "Traceback" not in err
+
     def test_verify_place_above_primality_bound(self, capsys, tmp_path, monkeypatch):
         # a true witness at the prime P = 7 (mod 8), above the bound where
         # is_prime is exact, written with primality taken on trust
@@ -130,7 +152,7 @@ class TestFormsCertify:
         q_big, q_7 = DiagonalForm.standard(P, 4), DiagonalForm.standard(7, 4)
         with monkeypatch.context() as m:
             m.setattr(exact_arith, "is_prime", lambda n: True)
-            witness = _witness_at(q_big, q_7, LocalPlace.at(P))
+            witness = _witness_at(q_big, q_7, P)
         cert = NoncommCertificate("LocalWitness", q_big, q_7, dict(witness, direction="forward"))
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({"certificate": cert.to_json()}), encoding="utf-8")
@@ -175,6 +197,23 @@ class TestWords:
     def test_malformed_word(self, capsys):
         code, payload, _ = run_json(capsys, "words", "canon", "--word", "2,x,1")
         assert code == 2 and payload["status"] == "error"
+
+    @pytest.mark.parametrize("r", [[], ["--r", "2"]])
+    def test_commensurable_malformed_word(self, capsys, r):
+        code, payload, _ = run_json(
+            capsys, "words", "commensurable", "--alpha", "1,x", "--beta", "1,2", *r
+        )
+        assert code == 2 and payload == {
+            "status": "error",
+            "message": "malformed word '1,x': expected comma-separated integers",
+        }
+
+    def test_commensurable_alphabet_from_both_words(self, capsys):
+        # without --r both words are read over the larger implied alphabet
+        code, payload, _ = run_json(
+            capsys, "words", "commensurable", "--alpha", "1,1,1", "--beta", "1,3,2"
+        )
+        assert code == 0 and payload["commensurable"] is False
 
     def test_stabilizer(self, capsys):
         code, payload, _ = run_json(capsys, "words", "stabilizer", "--word", "2,1,1,1")
@@ -276,6 +315,17 @@ class TestCensus:
         extra = [str(vols) if x == "VOLS" else x for x in extra]
         code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "4", *extra)
         assert code == 2 and payload == {"status": "error", "message": message}
+
+    def test_volume_key_not_a_piece_number(self, capsys, tmp_path):
+        vols = tmp_path / "volumes.json"
+        vols.write_text('{"1": "1", "2": "1", "x": "1"}', encoding="utf-8")
+        code, payload, _ = run_json(
+            capsys, "census", "--r", "2", "--m-max", "4", "--volumes", str(vols)
+        )
+        assert code == 2 and payload == {
+            "status": "error",
+            "message": f"volume file {vols} has key 'x': expected a piece number",
+        }
 
     def test_missing_volume_entry(self, capsys, tmp_path):
         vols = tmp_path / "volumes.json"

@@ -168,22 +168,21 @@ class TestLocalPlace:
         for p in (2, 3, 5, 9, 13, 15):
             with pytest.raises(ValueError):
                 LocalPlace.at(p)
+        # 2 is a non-residue mod 13, so no root is accepted there
+        for c in range(1, 13):
+            with pytest.raises(ValueError):
+                LocalPlace(13, c)
+        with pytest.raises(ValueError):
+            LocalPlace(17, 5)
 
     def test_wrong_root_rejected_at_7_mod_8(self):
         with pytest.raises(ValueError):
-            LocalPlace(7, 3, False)
-
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
-            LocalPlace(7, 4, False)
+            LocalPlace(7, 3)
 
     def test_other_root_allowed_at_1_mod_8(self):
-        place = LocalPlace(17, 11, legendre(11, 17) == 1)
+        place = LocalPlace(17, 11)
         assert place.sqrt2_root == 11
-
-    def test_json_roundtrip(self):
-        place = LocalPlace.at(23)
-        assert LocalPlace.from_json(place.to_json()) == place
+        assert place.root_is_qr == (legendre(11, 17) == 1)
 
 
 class TestHensel:
@@ -279,7 +278,7 @@ class TestValuationF:
         for _ in range(200):
             p = rng.choice([17, 41, 73, 89, 97])  # both roots constructible
             place = LocalPlace.at(p)
-            other = LocalPlace(p, p - place.sqrt2_root, legendre(p - place.sqrt2_root, p) == 1)
+            other = LocalPlace(p, p - place.sqrt2_root)
             x = Sqrt2Int(rng.randint(-3000, 3000), rng.randint(-3000, 3000))
             if not x:
                 continue

@@ -19,6 +19,7 @@ from hybridcensus.quadform import (
     SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
+    _local_certificate,
     _witness_at,
     certify_noncommensurable,
     disc_class,
@@ -330,22 +331,15 @@ def exhaustive_scan(target, scaled, budget):
         if p > budget:
             return None
         if p % 8 == 7 and all(n % p for n in norms):
-            witness = _witness_at(target, scaled, LocalPlace.at(p))
+            witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness
 
 
 def oracle_certificate(q, q2, budget):
     """certify_noncommensurable for even n, with both scans exhaustive."""
-    primary = exhaustive_scan(q, q2, budget)
-    swapped = exhaustive_scan(q2, q, budget)
-    if primary is not None:
-        primary["direction"] = "forward"
-        return NoncommCertificate("LocalWitness", q, q2, primary, swapped).to_json()
-    if swapped is not None:
-        swapped["direction"] = "reverse"
-        return NoncommCertificate("LocalWitness", q, q2, swapped).to_json()
-    return None
+    cert = _local_certificate(q, q2, exhaustive_scan(q, q2, budget), exhaustive_scan(q2, q, budget))
+    return None if cert is None else cert.to_json()
 
 
 def random_admissible(rng, n):
@@ -436,18 +430,141 @@ class TestVerifier:
         q_big = DiagonalForm.standard(P, 4)
         with monkeypatch.context() as m:
             m.setattr(exact_arith, "is_prime", lambda n: True)
-            witness = _witness_at(q_big, Q7, LocalPlace.at(P))
+            witness = _witness_at(q_big, Q7, P)
             cert = NoncommCertificate(
                 "LocalWitness", q_big, Q7, dict(witness, direction="forward")
             )
             assert verify_certificate(cert)
         assert not verify_certificate(cert)
 
+    def test_place_off_7_mod_8_carries_no_witness(self):
+        # every square class of scalars mismatches q_17 at p = 17 too, but
+        # witness places are p = 7 (mod 8), so no table is built there
+        assert _witness_at(DiagonalForm.standard(17, 4), Q7, 17) is None
+
     def test_mismatched_kind_rejected(self):
         cert = certify_noncommensurable(Q23, Q7, 4)
         doc = cert.to_json()
         doc["kind"] = "OddDiscWitness"
         assert not verify_certificate(NoncommCertificate.from_json(doc))
+
+
+def genuine_certificates():
+    """One certificate of each layout: forward with a swapped record, n = 8,
+    reverse only, and odd."""
+    q7_8, q23_8 = generate_family(8, 2)
+    return {
+        "forward": certify_noncommensurable(Q7, Q23, 4),
+        "n8": certify_noncommensurable(q23_8, q7_8, 8),
+        "reverse": certify_noncommensurable(Q23, Q7, 4, place_budget=20),
+        "odd": certify_noncommensurable(DiagonalForm.standard(3, 3), DiagonalForm.standard(5, 3), 3),
+    }
+
+
+OTHER_VALUE = {
+    "LocalWitness": "OddDiscWitness",
+    "OddDiscWitness": "LocalWitness",
+    "forward": "reverse",
+    "reverse": "forward",
+}
+
+
+def leaf_edits(node, path=()):
+    """(path, new value) changing one leaf of a JSON document: a positive int
+    negated and any other int moved up by one, a bool flipped, the numerator
+    of a numeral string moved by one, and kind or direction set to the other
+    value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_edits(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_edits(value, path + (i,))
+    elif isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, int):
+        yield path, -node if node > 0 else node + 1
+    elif node in OTHER_VALUE:
+        yield path, OTHER_VALUE[node]
+    elif isinstance(node, str) and node.lstrip("-").partition("/")[0].isdigit():
+        num, slash, den = node.partition("/")
+        yield path, f"{int(num) + 1}{slash}{den}"
+
+
+DELETE = object()
+
+
+def refused(doc):
+    try:
+        cert = NoncommCertificate.from_json(doc)
+    except ValueError:
+        return True
+    return not verify_certificate(cert)
+
+
+def refused_after(doc, path, value):
+    """Whether the document with one field set (or deleted) is refused; the
+    document is restored afterwards."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    missing = isinstance(node, dict) and last not in node
+    old = None if missing else node[last]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    try:
+        return refused(doc)
+    finally:
+        if missing:
+            del node[last]
+        else:
+            node[last] = old
+
+
+# Edits that pass at a parser coercing types and a verifier comparing field
+# by field, each applied to the forward n = 4 certificate.
+NAMED_EDITS = {
+    "u as a fraction": (("form", "coeffs", 0, "u"), 7.9),
+    "u as a number": (("form", "coeffs", 0, "u"), 7),
+    "n as a fraction": (("n",), 4.5),
+    "direction deleted": (("witness", "direction"), DELETE),
+    "extra top-level key": (("note",), "hand-edited"),
+    "empty swapped record": (("swapped",), {}),
+}
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("name", ["forward", "n8", "reverse", "odd"])
+    def test_every_leaf_edit_refused(self, name):
+        doc = genuine_certificates()[name].to_json()
+        edits = list(leaf_edits(doc))
+        assert len(edits) > 20
+        for path, value in edits:
+            assert refused_after(doc, path, value), (path, value)
+        assert not refused(doc)
+
+    @pytest.mark.parametrize("name", ["forward", "reverse", "odd"])
+    def test_every_key_deletion_refused(self, name):
+        doc = genuine_certificates()[name].to_json()
+        paths = {path[:i] for path, _ in leaf_edits(doc) for i in range(1, len(path) + 1)}
+        for path in sorted(paths, key=repr):
+            if isinstance(path[-1], str):
+                assert refused_after(doc, path, DELETE), path
+        assert not refused(doc)
+
+    @pytest.mark.parametrize("edit", NAMED_EDITS)
+    def test_named_edit_refused(self, edit):
+        doc = genuine_certificates()["forward"].to_json()
+        assert refused_after(doc, *NAMED_EDITS[edit])
+
+    def test_swapped_record_is_optional(self):
+        # the one edit that leaves a valid certificate: a forward witness
+        # certifies without the swapped table beside it
+        doc = genuine_certificates()["forward"].to_json()
+        assert not refused_after(doc, ("swapped",), None)
 
 
 class TestGenerateFamily:
