@@ -128,8 +128,8 @@ def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
     canon, shift = gluing.canonical_rotation(w)
     return 0, {
         "status": "ok",
-        "word": list(w.letters),
-        "canonical": list(canon.letters),
+        "word": w.letters,
+        "canonical": canon.letters,
         "shift": shift,
     }
 
@@ -138,16 +138,17 @@ def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
     alpha = gluing.CyclicWord.parse(args.alpha, args.r)
     beta = gluing.CyclicWord.parse(args.beta, args.r)
     if alpha.r != beta.r:
-        # --r omitted: read both words over the larger implied alphabet
+        # --r omitted: read both words over the larger implied alphabet, which
+        # holds the letters parse has already checked
         r = max(alpha.r, beta.r)
-        alpha, beta = gluing.CyclicWord(alpha.letters, r), gluing.CyclicWord(beta.letters, r)
+        alpha, beta = (gluing.CyclicWord._unchecked(w.letters, r) for w in (alpha, beta))
     ok, shift = gluing.same_class(alpha, beta)
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")
     return 0, {
         "status": "ok",
-        "alpha": list(alpha.letters),
-        "beta": list(beta.letters),
+        "alpha": alpha.letters,
+        "beta": beta.letters,
         "commensurable": ok,
         "shift": shift,
     }
@@ -158,7 +159,7 @@ def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, object]:
     report = gluing.dihedral_stabilizer(w)
     return 0, {
         "status": "ok",
-        "word": list(w.letters),
+        "word": w.letters,
         "rotation_order": report.rotation_order,
         "reflection_exists": report.reflection_exists,
         "dihedral_order": report.dihedral_order,
@@ -172,7 +173,7 @@ def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, object]:
         "r": args.r,
         "m": args.m,
         "count": len(classes),
-        "classes": [list(w.letters) for w in classes],
+        "classes": [w.letters for w in classes],
     }
 
 

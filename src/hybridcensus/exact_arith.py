@@ -216,7 +216,19 @@ class Sqrt2Int:
 
     @staticmethod
     def from_json(obj: dict) -> "Sqrt2Int":
-        return Sqrt2Int(int(obj["u"]), int(obj["v"]))
+        return Sqrt2Int(_json_numeral(obj, "u"), _json_numeral(obj, "v"))
+
+
+def _json_numeral(obj: dict, field: str) -> int:
+    """The integer a `to_json` field holds as a decimal numeral string."""
+    value = obj[field]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    # a long value is cut to 200 characters, as int() cuts it in its own message
+    raise ValueError(f"coefficient field {field!r} is not a decimal numeral: {value!r:.200}")
 
 
 SQRT2 = Sqrt2Int(0, 1)

@@ -6,6 +6,12 @@ glued objects exactly when they lie in the same rotation orbit.  One
 Duval pass over w.w yields the least rotation and the period, which
 canonicalize words, decide orbit equality with a witness shift and give
 dihedral stabilizers.  Fixed-content rotation classes are counted exactly.
+
+Only `CyclicWord(...)` and `CyclicWord.parse` check letters, where a word
+comes in from outside.  Every word the module builds itself (rotations,
+canonical forms and primitive roots of checked words, and the enumerated
+classes, whose letters are 1..r by construction) goes through
+`CyclicWord._unchecked`, which stores its letters without a second check.
 """
 
 from __future__ import annotations
@@ -50,24 +56,44 @@ class CyclicWord:
             if not isinstance(x, int) or not 1 <= x <= self.r:
                 raise ValueError(f"letter {x!r} outside alphabet [1, {self.r}]")
 
+    @classmethod
+    def _unchecked(cls, letters: tuple[int, ...], r: int) -> "CyclicWord":
+        """A word whose letters the library already knows lie in [1, r], stored as given."""
+        word = cls.__new__(cls)
+        fields = word.__dict__
+        fields["letters"] = letters
+        fields["r"] = r
+        return word
+
     @property
     def m(self) -> int:
         return len(self.letters)
 
     def rotate(self, s: int) -> "CyclicWord":
         s %= self.m
-        return CyclicWord(self.letters[s:] + self.letters[:s], self.r)
+        return CyclicWord._unchecked(self.letters[s:] + self.letters[:s], self.r)
 
     @classmethod
     def parse(cls, text: str, r: Optional[int] = None) -> "CyclicWord":
-        """Parse a comma-separated word like "2,1,1"; r defaults to the largest letter."""
+        """Parse a comma-separated word like "2,1,1"; r defaults to the largest letter.
+
+        `int` gives exact ints, so only the range is checked, over the set of
+        distinct letters; the letters are scanned in order only to name the
+        first one out of range.
+        """
         try:
-            letters = tuple(int(part) for part in text.split(","))
+            letters = tuple(map(int, text.split(",")))
         except ValueError:
             raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
-        if not letters:
-            raise ValueError("empty word")
-        return cls(letters, max(letters) if r is None else r)
+        distinct = set(letters)
+        if r is None:
+            r = max(distinct)
+        if r < 1:
+            raise ValueError("alphabet size r must be >= 1")
+        if min(distinct) < 1 or max(distinct) > r:
+            bad = next(x for x in letters if not 1 <= x <= r)
+            raise ValueError(f"letter {bad!r} outside alphabet [1, {r}]")
+        return cls._unchecked(letters, r)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.letters)
@@ -105,7 +131,7 @@ def canonical_rotation(w: CyclicWord) -> tuple[CyclicWord, int]:
 def primitive_root(w: CyclicWord) -> CyclicWord:
     """Shortest word g with w = g repeated m/|g| times."""
     _, period = _duval(w.letters)
-    return CyclicWord(w.letters[:period], w.r)
+    return CyclicWord._unchecked(w.letters[:period], w.r)
 
 
 def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]]:
@@ -299,13 +325,13 @@ def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     if r * m > cap:
         raise ValueError(f"enumeration cap exceeded: r*m = {r * m} > {cap}")
     if r == 1:
-        return [CyclicWord((1,) * m, 1)]
+        return [CyclicWord._unchecked((1,) * m, 1)]
     depth = sys.getrecursionlimit() // 2
     if r * m > depth:
         raise ValueError(f"word length r*m = {r * m} exceeds the recursion depth {depth}")
     out: list[tuple[int, ...]] = []
     _necklaces([0, 1] + [0] * (r * m - 1), [0, m - 1] + [m] * (r - 1), 2, 1, out)
-    return [CyclicWord(word, r) for word in out]
+    return [CyclicWord._unchecked(word, r) for word in out]
 
 
 def brute_force_class_count(r: int, m: int) -> int:

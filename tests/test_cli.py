@@ -114,13 +114,22 @@ class TestFormsCertify:
         _, payload, _ = run_json(
             capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"
         )
-        del payload["certificate"]["form"]
-        for i, doc in enumerate((payload, [1, 2], 5)):
+        cert = payload["certificate"]
+        cases = []
+        for value in ("x", ["7"]):
+            # a coefficient that is no numeral is named with its field and value
+            doc = json.loads(json.dumps(cert))
+            doc["form"]["coeffs"][0]["u"] = value
+            cases.append((doc, f"field 'u' is not a decimal numeral: {value!r}"))
+        del cert["form"]
+        cases += [(payload, "KeyError"), ([1, 2], "TypeError"), (5, "TypeError")]
+        for i, (doc, detail) in enumerate(cases):
             path = tmp_path / f"bad-{i}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
             assert code == 2 and verified["status"] == "error"
-            assert "malformed certificate" in verified["message"]
+            assert verified["message"].startswith("malformed certificate")
+            assert detail in verified["message"] and "int()" not in verified["message"]
 
     @pytest.mark.parametrize(
         "edit",

@@ -59,6 +59,72 @@ class TestCyclicWord:
         with pytest.raises(ValueError):
             CyclicWord((3,), 2)
 
+    # Outcomes of the two checked entry points, each message as the
+    # letter-by-letter check in CyclicWord.__post_init__ words it; None
+    # means accepted.  parse names the first bad letter in word order.
+    @pytest.mark.parametrize(
+        "letters, r, message",
+        [
+            ((0, 1, 2), 2, "letter 0 outside alphabet [1, 2]"),
+            ((1, 2, 0), 2, "letter 0 outside alphabet [1, 2]"),
+            ((1, 3, 2, 4, 1), 2, "letter 3 outside alphabet [1, 2]"),
+            ((-1,), 1, "letter -1 outside alphabet [1, 1]"),
+            ((1, -2, 1), 2, "letter -2 outside alphabet [1, 2]"),
+            ((1, 2, 3), 2, "letter 3 outside alphabet [1, 2]"),
+            ((1.0, 2), 2, "letter 1.0 outside alphabet [1, 2]"),
+            ((2, 1.0), 2, "letter 1.0 outside alphabet [1, 2]"),
+            ((1, [1]), 2, "letter [1] outside alphabet [1, 2]"),
+            ((True, 2), 2, None),
+            ((1, 2), 0, "alphabet size r must be >= 1"),
+            ((1,), -1, "alphabet size r must be >= 1"),
+            ((), 2, "word must have length >= 1"),
+            ([1, 2], 2, None),
+        ],
+    )
+    def test_constructor_outcomes(self, letters, r, message):
+        if message is None:
+            assert CyclicWord(letters, r).letters == tuple(letters)
+        else:
+            with pytest.raises(ValueError) as exc:
+                CyclicWord(letters, r)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, r, message",
+        [
+            ("0,1,2", 2, "letter 0 outside alphabet [1, 2]"),
+            ("1,2,0", 2, "letter 0 outside alphabet [1, 2]"),
+            ("1,3,2,4,1", 2, "letter 3 outside alphabet [1, 2]"),
+            ("3,1,2", 2, "letter 3 outside alphabet [1, 2]"),
+            ("1,2,3,5,4", 4, "letter 5 outside alphabet [1, 4]"),
+            ("-1", 1, "letter -1 outside alphabet [1, 1]"),
+            ("1,-2,1", None, "letter -2 outside alphabet [1, 1]"),
+            ("1,-2,1", 2, "letter -2 outside alphabet [1, 2]"),
+            ("-1", None, "alphabet size r must be >= 1"),
+            ("0", None, "alphabet size r must be >= 1"),
+            ("0,-3", None, "alphabet size r must be >= 1"),
+            ("1,2", 0, "alphabet size r must be >= 1"),
+            ("1", -1, "alphabet size r must be >= 1"),
+            ("1.0,2", None, "malformed word '1.0,2': expected comma-separated integers"),
+            ("2,1.0", 2, "malformed word '2,1.0': expected comma-separated integers"),
+            ("True,2", None, "malformed word 'True,2': expected comma-separated integers"),
+            ("[1]", None, "malformed word '[1]': expected comma-separated integers"),
+            ("1,[1]", 2, "malformed word '1,[1]': expected comma-separated integers"),
+            ("", None, "malformed word '': expected comma-separated integers"),
+            ("1,3,2,4,1", None, None),
+            (" 2, +1", None, None),
+            ("2,1", 3, None),
+        ],
+    )
+    def test_parse_outcomes(self, text, r, message):
+        if message is None:
+            w = CyclicWord.parse(text, r)
+            assert w == CyclicWord(tuple(int(x) for x in text.split(",")), r or max(w.letters))
+        else:
+            with pytest.raises(ValueError) as exc:
+                CyclicWord.parse(text, r)
+            assert str(exc.value) == message
+
     def test_rotate(self):
         w = CyclicWord((1, 2, 3), 3)
         assert w.rotate(1).letters == (2, 3, 1)
