@@ -3,12 +3,20 @@
 A word over {1, ..., r} read around Z/mZ encodes which building piece
 sits at each slot of a cyclic gluing; two words describe commensurable
 glued objects exactly when they lie in the same rotation orbit.  One
-Duval pass over w.w yields the least rotation and the period, which
-canonicalize words, decide orbit equality with a witness shift and give
-dihedral stabilizers.  Fixed-content rotation classes are counted exactly.
+Duval pass over w.w yields the least rotation, which canonicalizes words.
+The orbit test, the period and the reflection test are substring searches
+on w.w: each word is encoded as a str with one character per letter, and
+`str.find` (two-way search in C since CPython 3.10) finds beta in
+alpha.alpha at the smallest witness shift, w in w.w from position 1 at
+the period, and reversed w in w.w.  On crafted words of about 1,100 to
+2,000 letters, such as 1^m against 1^h 2 1^(m-h-1), CPython's search
+takes a quadratic-time path: up to about 3 ms at m = 2,000, some four
+times two Duval passes.  Longer words get the linear two-way search.
+Fixed-content rotation classes are counted exactly.
 
 Only `CyclicWord(...)` and `CyclicWord.parse` check letters, where a word
-comes in from outside.  Every word the module builds itself (rotations,
+comes in from outside; both refuse bool letters and an alphabet size that
+is not an int.  Every word the module builds itself (rotations,
 canonical forms and primitive roots of checked words, and the enumerated
 classes, whose letters are 1..r by construction) goes through
 `CyclicWord._unchecked`, which stores its letters without a second check.
@@ -38,6 +46,14 @@ __all__ = [
 ]
 
 
+def _check_alphabet(r: object) -> None:
+    """Refuse an alphabet size that is not an int >= 1; a bool is not one."""
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"alphabet size r must be an int, not {r!r}")
+    if r < 1:
+        raise ValueError("alphabet size r must be >= 1")
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """Letters in [1, r] indexed by Z/mZ; equality of tuples is position-wise."""
@@ -50,10 +66,9 @@ class CyclicWord:
         object.__setattr__(self, "letters", letters)
         if len(letters) < 1:
             raise ValueError("word must have length >= 1")
-        if self.r < 1:
-            raise ValueError("alphabet size r must be >= 1")
+        _check_alphabet(self.r)
         for x in letters:
-            if not isinstance(x, int) or not 1 <= x <= self.r:
+            if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.r:
                 raise ValueError(f"letter {x!r} outside alphabet [1, {self.r}]")
 
     @classmethod
@@ -88,8 +103,7 @@ class CyclicWord:
         distinct = set(letters)
         if r is None:
             r = max(distinct)
-        if r < 1:
-            raise ValueError("alphabet size r must be >= 1")
+        _check_alphabet(r)
         if min(distinct) < 1 or max(distinct) > r:
             bad = next(x for x in letters if not 1 <= x <= r)
             raise ValueError(f"letter {bad!r} outside alphabet [1, {r}]")
@@ -99,14 +113,13 @@ class CyclicWord:
         return ",".join(str(x) for x in self.letters)
 
 
-def _duval(letters: tuple[int, ...]) -> tuple[int, int]:
-    """(smallest start of the least rotation, period) of a word, in one pass.
+def _duval(letters: tuple[int, ...]) -> int:
+    """Smallest start of the least rotation of a word, in one pass.
 
     Duval's Lyndon factorization (J. Algorithms 4, 1983) of w.w: each step
     reads a run u^e u' (u Lyndon, u' a proper prefix of u) and skips its
     copies of u.  The last step starting in the first copy of w starts the
-    least rotation, at its run's first copy; from there w.w is a necklace
-    g^(m/d) and a prefix of it, so that step reads to the end with u = g.
+    least rotation, at its run's first copy.
     """
     s = letters + letters
     m, n = len(letters), len(s)
@@ -119,18 +132,41 @@ def _duval(letters: tuple[int, ...]) -> tuple[int, int]:
         while i <= k:
             i += j - k
         if i >= m:
-            return start, j - k
+            return start
+
+
+def _texts(*words: CyclicWord) -> list[str]:
+    """Each word as a str with one character per letter, equal letters giving
+    equal characters, with one code for all the words given.
+
+    Letters up to sys.maxunicode are their own code points; over a larger
+    alphabet each letter is coded by its rank among the distinct letters.
+    """
+    if max(w.r for w in words) <= sys.maxunicode:
+        return ["".join(map(chr, w.letters)) for w in words]
+    distinct = sorted(set().union(*(w.letters for w in words)))
+    if len(distinct) > sys.maxunicode + 1:
+        raise ValueError(
+            f"{len(distinct)} distinct letters cannot be encoded: "
+            f"the limit is sys.maxunicode + 1 = {sys.maxunicode + 1}"
+        )
+    rank = {x: chr(i) for i, x in enumerate(distinct)}
+    return ["".join([rank[x] for x in w.letters]) for w in words]
 
 
 def canonical_rotation(w: CyclicWord) -> tuple[CyclicWord, int]:
     """Lexicographically least rotation and the smallest shift that realizes it."""
-    shift, _ = _duval(w.letters)
+    shift = _duval(w.letters)
     return w.rotate(shift), shift
 
 
 def primitive_root(w: CyclicWord) -> CyclicWord:
-    """Shortest word g with w = g repeated m/|g| times."""
-    _, period = _duval(w.letters)
+    """Shortest word g with w = g repeated m/|g| times.
+
+    |g| is the period of w, the first position >= 1 where w occurs in w.w.
+    """
+    (text,) = _texts(w)
+    period = (text + text).find(text, 1)
     return CyclicWord._unchecked(w.letters[:period], w.r)
 
 
@@ -138,19 +174,17 @@ def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]
     """Rotation-orbit equality, with the smallest witness shift.
 
     A witness p satisfies beta[j] = alpha[(j + p) mod m] for all j, i.e.
-    alpha.rotate(p) == beta.  Words of different lengths or alphabets are
-    a contract violation, not a negative answer.
+    alpha.rotate(p) == beta, i.e. beta occurs at position p of alpha.alpha;
+    the first occurrence is the smallest witness.  Words of different
+    lengths or alphabets are a contract violation, not a negative answer.
     """
     if alpha.m != beta.m:
         raise ValueError(f"length mismatch: {alpha.m} vs {beta.m}")
     if alpha.r != beta.r:
         raise ValueError(f"alphabet mismatch: {alpha.r} vs {beta.r}")
-    a, b = alpha.letters, beta.letters
-    shift_a, period = _duval(a)
-    shift_b, _ = _duval(b)
-    if a[shift_a:] + a[:shift_a] != b[shift_b:] + b[:shift_b]:
-        return False, None
-    return True, (shift_a - shift_b) % period
+    a, b = _texts(alpha, beta)
+    p = (a + a).find(b)
+    return (False, None) if p < 0 else (True, p)
 
 
 # -------------------------------------------------------------- stabilizers
@@ -171,17 +205,16 @@ class StabilizerReport:
 def dihedral_stabilizer(w: CyclicWord) -> StabilizerReport:
     """Count the rotations and detect a reflection of Z/mZ preserving the coloring.
 
-    The shifts fixing w form a subgroup of Z/mZ generated by the period d of
-    w, so there are m/d of them.  The reflection i -> t - i sends w to the
-    word i -> w[(t - i) mod m], which is the reversed word rotated by
-    m - 1 - t; so some reflection fixes w exactly when the reversed word
-    lies in the rotation class of w.
+    The shifts fixing w form a subgroup of Z/mZ generated by the period d
+    of w (see `primitive_root`), so there are m/d of them.  The reflection
+    i -> t - i sends w to the word i -> w[(t - i) mod m], which is the
+    reversed word rotated by m - 1 - t; so some reflection fixes w exactly
+    when the reversed word lies in the rotation class of w, that is,
+    occurs in w.w.
     """
-    letters, rev = w.letters, w.letters[::-1]
-    shift, period = _duval(letters)
-    rev_shift, _ = _duval(rev)
-    reflection = letters[shift:] + letters[:shift] == rev[rev_shift:] + rev[:rev_shift]
-    return StabilizerReport(w.m // period, reflection)
+    (text,) = _texts(w)
+    doubled = text + text
+    return StabilizerReport(w.m // doubled.find(text, 1), text[::-1] in doubled)
 
 
 def isometry_upper_bound(w: CyclicWord, piece_bound: int) -> int:

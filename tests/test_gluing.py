@@ -74,11 +74,14 @@ class TestCyclicWord:
             ((1.0, 2), 2, "letter 1.0 outside alphabet [1, 2]"),
             ((2, 1.0), 2, "letter 1.0 outside alphabet [1, 2]"),
             ((1, [1]), 2, "letter [1] outside alphabet [1, 2]"),
-            ((True, 2), 2, None),
+            ((True, 2), 2, "letter True outside alphabet [1, 2]"),
             ((1, 2), 0, "alphabet size r must be >= 1"),
             ((1,), -1, "alphabet size r must be >= 1"),
             ((), 2, "word must have length >= 1"),
             ([1, 2], 2, None),
+            ((1, False), 2, "letter False outside alphabet [1, 2]"),
+            ((1, 2), 2.5, "alphabet size r must be an int, not 2.5"),
+            ((1, 2), True, "alphabet size r must be an int, not True"),
         ],
     )
     def test_constructor_outcomes(self, letters, r, message):
@@ -105,6 +108,8 @@ class TestCyclicWord:
             ("0,-3", None, "alphabet size r must be >= 1"),
             ("1,2", 0, "alphabet size r must be >= 1"),
             ("1", -1, "alphabet size r must be >= 1"),
+            ("1,2", 2.5, "alphabet size r must be an int, not 2.5"),
+            ("1,2", True, "alphabet size r must be an int, not True"),
             ("1.0,2", None, "malformed word '1.0,2': expected comma-separated integers"),
             ("2,1.0", 2, "malformed word '2,1.0': expected comma-separated integers"),
             ("True,2", None, "malformed word 'True,2': expected comma-separated integers"),

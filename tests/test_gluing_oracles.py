@@ -3,8 +3,10 @@
 `bench/oracles.py` finds the least rotation with a two-pointer scan and
 the period with a KMP failure function, neither of which the library
 uses.  The words here run to about 3,000 letters, far past the short
-words of `test_gluing.py`, so every branch of the library's pass over
-w.w is taken many times per word.
+words of `test_gluing.py`, so every branch of the library's Duval pass
+over w.w is taken many times per word.  The crafted pairs are the inputs
+on which CPython's substring search, which answers the orbit, period and
+reflection questions, takes its slowest path.
 """
 
 import importlib.util
@@ -75,3 +77,32 @@ def test_long_words_match_oracles(seed):
         assert dihedral_stabilizer(w) == StabilizerReport(w.m // period, reflection)
         k = rng.randrange(w.m)
         assert same_class(w, w.rotate(k)) == (True, k % period)
+
+
+def crafted_words(m):
+    """Pairs on which CPython's substring search takes its slowest path:
+    1^m against one 2 among the 1s, and (12)^k 11 against (12)^k 22."""
+    k = (m - 2) // 2
+    ones = (1,) * m
+    for h in (0, m // 3, m // 2, m - 1):
+        yield ones, ones[:h] + (2,) + ones[h + 1 :]
+    yield (1, 2) * k + (1, 1), (1, 2) * k + (2, 2)
+
+
+def oracle_same_class(a, b):
+    if oracles.canonical(a) != oracles.canonical(b):
+        return False, None
+    return True, (oracles.least_rotation(a) - oracles.least_rotation(b)) % oracles.period(a)
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_crafted_words_match_oracles(m):
+    for a, b in crafted_words(m):
+        alpha, beta = CyclicWord(a, 2), CyclicWord(b, 2)
+        for x, y in ((alpha, beta), (beta, alpha), (beta, beta.rotate(m // 3))):
+            assert same_class(x, y) == oracle_same_class(x.letters, y.letters)
+        for w in (alpha, beta):
+            period = oracles.period(w.letters)
+            reflection = oracles.canonical(w.letters) == oracles.canonical(w.letters[::-1])
+            assert primitive_root(w).m == period
+            assert dihedral_stabilizer(w) == StabilizerReport(w.m // period, reflection)
