@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import census as census_mod
 from . import gluing, quadform
@@ -111,9 +111,13 @@ def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, object]:
     return 0, {"status": "ok", "certificate": cert.to_json()}
 
 
+def _refuse_non_integer(text: str) -> NoReturn:
+    raise ValueError(f"certificate numbers are integers, not {text}")
+
+
 def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, object]:
     with open(args.cert, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_refuse_non_integer, parse_constant=_refuse_non_integer)
     if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
     cert = quadform.NoncommCertificate.from_json(doc)

@@ -170,7 +170,8 @@ class Sqrt2Int:
     v: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.u, int) or not isinstance(self.v, int):
+        u, v = self.u, self.v
+        if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
             raise TypeError("Sqrt2Int components must be integers")
 
     def __bool__(self) -> bool:

@@ -91,8 +91,11 @@ class DiagonalForm:
 
     @staticmethod
     def from_json(obj: dict) -> "DiagonalForm":
+        n = obj["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"form dimension n must be an int, not {n!r}")
         form = DiagonalForm(tuple(Sqrt2Int.from_json(c) for c in obj["coeffs"]))
-        if form.n != int(obj["n"]):
+        if form.n != n:
             raise ValueError("form dimension does not match coefficient count")
         return form
 
@@ -142,14 +145,6 @@ class LocalInvariants:
     disc_unit_qr: int
     hasse: int
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "disc_val_parity": self.disc_val_parity,
-            "disc_unit_qr": self.disc_unit_qr,
-            "hasse": self.hasse,
-        }
-
 
 def hilbert_symbol(
     a: LocalValue, b: LocalValue, place: Union[LocalPlace, int]
@@ -192,24 +187,29 @@ def _scale(local: list[LocalValue], scale: LocalValue, p: int) -> list[LocalValu
     return [LocalValue(c.val + scale.val, c.unit * scale.unit % p) for c in local]
 
 
-def _invariants_with_table(
-    local: list[LocalValue], p: int
-) -> tuple[LocalInvariants, list[tuple[int, int, int]]]:
-    """Invariants of the diagonal form with these local coefficient values,
-    and its Hilbert-symbol table."""
+def _table(local: list[LocalValue], p: int) -> dict:
+    """The invariants and Hilbert-symbol table of the diagonal form with these
+    local coefficient values, as a certificate records them."""
     symbols = []
     hasse = 1
-    for i in range(len(local)):
-        for j in range(i + 1, len(local)):
-            s = hilbert_symbol(local[i], local[j], p)
-            symbols.append((i, j, s))
-            hasse *= s
-    disc_val = sum(c.val for c in local)
+    for i, j in itertools.combinations(range(len(local)), 2):
+        s = hilbert_symbol(local[i], local[j], p)
+        symbols.append({"i": i, "j": j, "symbol": s})
+        hasse *= s
     disc_unit = 1
     for c in local:
         disc_unit = disc_unit * c.unit % p
-    inv = LocalInvariants(len(local), disc_val % 2, legendre(disc_unit, p, validate=False), hasse)
-    return inv, symbols
+    invariants = {
+        "dim": len(local),
+        "disc_val_parity": sum(c.val for c in local) % 2,
+        "disc_unit_qr": legendre(disc_unit, p, validate=False),
+        "hasse": hasse,
+    }
+    return {
+        "invariants": invariants,
+        "coeffs_local": [{"val": c.val, "unit": c.unit} for c in local],
+        "symbols": symbols,
+    }
 
 
 def local_invariants(
@@ -219,7 +219,7 @@ def local_invariants(
     local = _local_values(q, place)
     if scale is not None:
         local = _scale(local, scale, place.p)
-    return _invariants_with_table(local, place.p)[0]
+    return LocalInvariants(**_table(local, place.p)["invariants"])
 
 
 def hasse_witt(q: DiagonalForm, place: LocalPlace) -> int:
@@ -303,13 +303,6 @@ def _disc_ratio_product(q: DiagonalForm, q2: DiagonalForm) -> Sqrt2Int:
     return prod
 
 
-def _symbols_json(local: list[LocalValue], symbols: list[tuple[int, int, int]]) -> dict:
-    return {
-        "coeffs_local": [{"val": c.val, "unit": c.unit} for c in local],
-        "symbols": [{"i": i, "j": j, "symbol": s} for i, j, s in symbols],
-    }
-
-
 def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[dict]:
     """The LocalWitness table at the place p: the target's invariants and one
     row per square class of scalars, or None when p is not 7 (mod 8) or as
@@ -317,26 +310,18 @@ def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[
     if p % 8 != 7:
         return None
     place = LocalPlace.at(p)
-    tgt_local = _local_values(target, place)
-    tgt_inv, tgt_syms = _invariants_with_table(tgt_local, p)
-    tgt_json = tgt_inv.to_json()
+    target_table = _table(_local_values(target, place), p)
+    target_inv = target_table["invariants"]
     scaled_local = _local_values(scaled, place)
     rows = []
     for lam, scale in _square_classes(p):
-        local = _scale(scaled_local, scale, p)
-        inv, syms = _invariants_with_table(local, p)
-        inv_json = inv.to_json()
-        mismatches = [f for f, v in inv_json.items() if v != tgt_json[f]]
+        table = _table(_scale(scaled_local, scale, p), p)
+        inv = table["invariants"]
+        mismatches = [f for f, v in inv.items() if v != target_inv[f]]
         if not mismatches:
             return None
-        row = {"lambda": lam, "invariants": inv_json, "mismatches": mismatches}
-        rows.append(row | _symbols_json(local, syms))
-    return {
-        "p": p,
-        "sqrt2_root": place.sqrt2_root,
-        "target": dict(invariants=tgt_json, **_symbols_json(tgt_local, tgt_syms)),
-        "rows": rows,
-    }
+        rows.append({"lambda": lam, "invariants": inv, "mismatches": mismatches} | table)
+    return {"p": p, "sqrt2_root": place.sqrt2_root, "target": target_table, "rows": rows}
 
 
 def _scan_local_witness(

@@ -140,8 +140,16 @@ class TestFormsCertify:
             lambda c: c["witness"].pop("direction"),
             lambda c: c.update(note="hand-edited"),
             lambda c: c.update(swapped={}),
+            lambda c: c["witness"]["rows"][0]["symbols"][0].update(symbol=1.0),
+            lambda c: c.update(n=4.0),
+            lambda c: c["form"].update(n=4.0),
+            lambda c: c["witness"]["target"]["invariants"].update(dim=5.0),
+            lambda c: c["form"].update(n="4"),
         ],
-        ids=["u-fraction", "u-number", "n-fraction", "no-direction", "extra-key", "empty-swapped"],
+        ids=[
+            "u-fraction", "u-number", "n-fraction", "no-direction", "extra-key", "empty-swapped",
+            "symbol-float", "n-float", "form-n-float", "dim-float", "form-n-string",
+        ],
     )
     def test_verify_refuses_hand_edits(self, capsys, tmp_path, edit):
         _, payload, _ = run_json(
@@ -152,6 +160,18 @@ class TestFormsCertify:
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
         assert code == 2 and verified["status"] == "error"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("number", ["1.0", "1e0", "NaN", "Infinity", "-Infinity"])
+    def test_verify_names_a_refused_number(self, capsys, tmp_path, number):
+        _, payload, _ = run_json(
+            capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"
+        )
+        text = json.dumps(payload).replace('"symbol": 1', f'"symbol": {number}', 1)
+        path = tmp_path / "cert.json"
+        path.write_text(text, encoding="utf-8")
+        code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
+        assert code == 2 and verified["message"] == f"certificate numbers are integers, not {number}"
         assert "Traceback" not in err
 
     def test_verify_place_above_primality_bound(self, capsys, tmp_path, monkeypatch):

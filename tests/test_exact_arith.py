@@ -232,6 +232,11 @@ class TestSqrt2Int:
         x = Sqrt2Int(-(10**30), 10**31)
         assert Sqrt2Int.from_json(x.to_json()) == x
 
+    @pytest.mark.parametrize("u, v", [(True, False), (1, True), (False, 0), (1.0, 0), ("1", 0)])
+    def test_non_int_components_refused(self, u, v):
+        with pytest.raises(TypeError, match="Sqrt2Int components must be integers"):
+            Sqrt2Int(u, v)
+
 
 class TestValuationF:
     def test_examples_at_7(self):

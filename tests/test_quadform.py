@@ -620,5 +620,9 @@ class TestFormType:
     def test_json_dimension_check(self):
         doc = Q7.to_json()
         doc["n"] = 5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match"):
             DiagonalForm.from_json(doc)
+        for n in (4.5, "4", 4.0, True, None):
+            doc["n"] = n
+            with pytest.raises(ValueError, match=f"form dimension n must be an int, not {n!r}"):
+                DiagonalForm.from_json(doc)

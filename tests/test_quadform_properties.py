@@ -1,13 +1,18 @@
-"""Certificates survive a JSON round trip and still verify.
+"""Certificates survive a JSON round trip, still verify, and keep their layout.
 
 For pairs drawn from the admissible families and for random admissible
 forms, a certificate written by `certify_noncommensurable`, passed through
 `json.dumps` and `json.loads` and read back by
-`NoncommCertificate.from_json`, equals the original and verifies.
+`NoncommCertificate.from_json`, equals the original and verifies.  Every
+LocalWitness table is laid out as documented: one local value per
+coefficient, symbols in pair order, invariants that recompute from the
+local values, rows in square-class order and key order fixed, so that
+`json.dumps` without `sort_keys` writes the same bytes.
 Examples are bounded and derandomized so that the suite stays fast and
 repeatable.
 """
 
+import itertools
 import json
 import math
 
@@ -17,8 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcensus.exact_arith import Sqrt2Int
+from hybridcensus.exact_arith import Sqrt2Int, legendre
 from hybridcensus.quadform import (
+    SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
     certify_noncommensurable,
@@ -29,7 +35,9 @@ from hybridcensus.quadform import (
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 DIMENSIONS = (3, 4, 8)
+EVEN_DIMENSIONS = (4, 8)
 FAMILIES = {n: generate_family(n, 16) for n in DIMENSIONS}
+INVARIANTS = ["dim", "disc_val_parity", "disc_unit_qr", "hasse"]
 
 
 def round_trip(cert):
@@ -45,8 +53,8 @@ def assert_round_trip_verifies(q, q2):
 
 
 @st.composite
-def family_pairs(draw):
-    family = FAMILIES[draw(st.sampled_from(DIMENSIONS))]
+def family_pairs(draw, dimensions=DIMENSIONS):
+    family = FAMILIES[draw(st.sampled_from(dimensions))]
     i, j = draw(st.lists(st.integers(0, len(family) - 1), min_size=2, max_size=2, unique=True))
     return family[i], family[j]
 
@@ -62,8 +70,8 @@ def coefficient(draw, positive_norm):
 
 
 @st.composite
-def admissible_pairs(draw):
-    n = draw(st.sampled_from(DIMENSIONS))
+def admissible_pairs(draw, dimensions=DIMENSIONS):
+    n = draw(st.sampled_from(dimensions))
 
     def form():
         leading = draw(st.lists(coefficient(True), min_size=n, max_size=n))
@@ -84,3 +92,55 @@ def test_random_admissible_certificates_round_trip(pair):
     q, q2 = pair
     assert is_admissible(q) and is_admissible(q2)
     assert_round_trip_verifies(q, q2)
+
+
+def assert_table_layout(table, p, dim):
+    local = table["coeffs_local"]
+    assert len(local) == dim and all(list(c) == ["val", "unit"] for c in local)
+    symbols = table["symbols"]
+    assert all(list(s) == ["i", "j", "symbol"] for s in symbols)
+    assert [(s["i"], s["j"]) for s in symbols] == list(itertools.combinations(range(dim), 2))
+    inv = table["invariants"]
+    assert list(inv) == INVARIANTS and inv["dim"] == dim
+    assert inv["hasse"] == math.prod(s["symbol"] for s in symbols)
+    assert inv["disc_val_parity"] == sum(c["val"] for c in local) % 2
+    assert inv["disc_unit_qr"] == legendre(math.prod(c["unit"] for c in local), p)
+
+
+def assert_witness_layout(witness, dim):
+    p = witness["p"]
+    assert list(witness)[:4] == ["p", "sqrt2_root", "target", "rows"]
+    target = witness["target"]
+    assert list(target) == ["invariants", "coeffs_local", "symbols"]
+    assert_table_layout(target, p, dim)
+    assert [row["lambda"] for row in witness["rows"]] == list(SQUARE_CLASSES)
+    for row in witness["rows"]:
+        assert list(row) == ["lambda", "invariants", "mismatches", "coeffs_local", "symbols"]
+        assert_table_layout(row, p, dim)
+        differ = [f for f in INVARIANTS if row["invariants"][f] != target["invariants"][f]]
+        assert row["mismatches"] == differ and differ
+
+
+def assert_certificate_layout(q, q2):
+    cert = certify_noncommensurable(q, q2, q.n, place_budget=200)
+    if cert is None:
+        return
+    assert cert.kind == "LocalWitness"
+    assert list(cert.witness) == ["p", "sqrt2_root", "target", "rows", "direction"]
+    assert_witness_layout(cert.witness, q.dim)
+    if cert.swapped is not None:
+        assert cert.witness["direction"] == "forward"
+        assert list(cert.swapped) == ["p", "sqrt2_root", "target", "rows"]
+        assert_witness_layout(cert.swapped, q.dim)
+
+
+@PROPERTY
+@given(family_pairs(EVEN_DIMENSIONS))
+def test_family_certificate_layout(pair):
+    assert_certificate_layout(*pair)
+
+
+@PROPERTY
+@given(admissible_pairs(EVEN_DIMENSIONS))
+def test_random_admissible_certificate_layout(pair):
+    assert_certificate_layout(*pair)
