@@ -34,10 +34,6 @@ class VolumeVector:
     counts: dict[int, int]
     numeric_total: Optional[Fraction] = None
 
-    @property
-    def word_length(self) -> int:
-        return sum(self.counts.values())
-
     def symbolic(self) -> str:
         return " + ".join(f"{mult}*v{k}" for k, mult in sorted(self.counts.items()))
 

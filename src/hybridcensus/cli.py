@@ -215,12 +215,12 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
             payload["lcom"] = [
                 {
                     "m": row.m,
-                    "volume": row.volume.to_json()["total"],
+                    "volume": doc["volume"]["total"],
                     "lower_bound": str(
                         census_mod.lcom_lower_bound(row.volume.numeric_total, K, V)
                     ),
                 }
-                for row in rows
+                for row, doc in zip(rows, payload["rows"])
             ]
     return 0, payload
 

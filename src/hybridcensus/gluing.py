@@ -241,33 +241,28 @@ def _totient(n: int) -> int:
     return result
 
 
-class _MultinomialWalk:
-    """M(r, k) = (rk)! / (k!)^r for k = 0, 1, 2, ..., for one alphabet size r.
+_walk_lock = threading.Lock()
+_walk: dict[int, list[int]] = {}
 
-    M(r, k) = M(r, k-1) * (rk-r+1)...(rk) / k^r, and the division is exact,
-    so extending the sequence by one term costs a multiplication and a
-    division of its numbers by small ones, no factorial.  Only the last r
-    asked for is kept: a new r starts the sequence again at k = 0.  The
-    lock makes the check of r and the extension one step for concurrent
-    callers.
+
+def _multinomials(r: int, k: int) -> list[int]:
+    """[M(r, 0), ..., M(r, k), ...] with M(r, j) = (rj)! / (j!)^r.
+
+    M(r, j) = M(r, j-1) * (rj-r+1)...(rj) / j^r, and the division is exact,
+    so extending the list by one term costs a multiplication and a division
+    of its numbers by small ones, no factorial.  Only the last r asked for
+    is kept: a new r starts a new list at j = 0.  The lock makes the check
+    of r and the extension one step for concurrent callers; a list is only
+    ever appended to, so the caller may index it below k + 1 unlocked.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._r = 0
-        self._values = [1]
-
-    def __call__(self, r: int, k: int) -> int:
-        with self._lock:
-            if r != self._r:
-                self._r, self._values = r, [1]
-            values = self._values
-            for j in range(len(values), k + 1):
-                values.append(values[-1] * math.perm(r * j, r) // j**r)
-            return values[k]
-
-
-_multinomial = _MultinomialWalk()
+    with _walk_lock:
+        values = _walk.get(r)
+        if values is None:
+            _walk.clear()
+            values = _walk[r] = [1]
+        for j in range(len(values), k + 1):
+            values.append(values[-1] * math.perm(r * j, r) // j**r)
+        return values
 
 
 def necklace_count(r: int, m: int) -> int:
@@ -280,13 +275,14 @@ def necklace_count(r: int, m: int) -> int:
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
+    values = _multinomials(r, m)
     total = 0
     for d in range(1, math.isqrt(m) + 1):
         if m % d == 0:
             e = m // d
-            total += _totient(d) * _multinomial(r, e)
+            total += _totient(d) * values[e]
             if e != d:
-                total += _totient(e) * _multinomial(r, d)
+                total += _totient(e) * values[d]
     return total // (r * m)
 
 
@@ -294,7 +290,7 @@ def multinomial_lower_bound(r: int, m: int) -> Fraction:
     """(rm)! / ((m!)^r * rm): the orbit count is at least this, exactly."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    return Fraction(_multinomial(r, m), r * m)
+    return Fraction(_multinomials(r, m)[m], r * m)
 
 
 def _fixed_content_words(r: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -336,11 +336,12 @@ def _scan_local_witness(
     valuations are even; the rank n + 1 is odd, so lambda = u flips the
     discriminant's unit class and lambda = 1 does not, and one of the two
     matches the target.  So the first witness, and the certificate, is the
-    same as that of a walk over every place.
+    same as that of a walk over every place.  The norms are nonzero, so no
+    place above the largest of them divides one, and the scan stops there.
     """
     tgt_norms = [c.norm() for c in target.coeffs]
     norms = [c.norm() for c in scaled.coeffs]
-    for p in range(7, place_budget + 1, 8):
+    for p in range(7, min(place_budget, max(abs(n) for n in tgt_norms)) + 1, 8):
         if any(n % p == 0 for n in tgt_norms) and all(n % p for n in norms) and is_prime(p):
             witness = _witness_at(target, scaled, p)
             if witness is not None:

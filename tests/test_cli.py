@@ -188,6 +188,21 @@ class TestFormsCertify:
         code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(path))
         assert code == 2 and verified["status"] == "error"
 
+    def test_huge_budget_ends_at_largest_norm(self):
+        # no witness for this pair at any budget; the scan stops at 23^2, so a
+        # budget of 10^30 answers as fast as a small one
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        budget = 10**30
+        argv = [
+            sys.executable, "-m", "hybridcensus.cli", "forms", "certify",
+            "--n", "2", "--a", "7", "--a-prime", "23", "--max-prime", str(budget),
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert json.loads(done.stdout) == {
+            "a": 7, "a_prime": 23, "max_prime": budget, "n": 2, "status": "no-witness"
+        }
+
     def test_invalid_coefficient(self, capsys):
         code, payload, _ = run_json(
             capsys, "forms", "certify", "--n", "4", "--a", "0", "--a-prime", "7"

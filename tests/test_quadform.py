@@ -385,6 +385,14 @@ class TestFastScan:
                 found += self.check(q, q2, budget) is not None
         assert found
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_budget_at_largest_norm_is_enough(self, n):
+        q, q2 = generate_family(n, 2)
+        largest = max(abs(c.norm()) for c in q.coeffs + q2.coeffs)
+        cert = self.check(q, q2, largest)
+        full = certify_noncommensurable(q, q2, n, 10**5)
+        assert cert == (None if full is None else full.to_json())
+
 
 class TestVerifier:
     def test_local_witness_roundtrip(self):
