@@ -37,9 +37,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
 
 
-def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
+def _load_json(path: str, **options) -> object:
+    """The JSON document in the file at path.  A document nested past the
+    interpreter's recursion limit is a ValueError, like any other bad file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            return json.load(fh, **options)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"volume file {path} must hold a JSON object of piece volumes")
     volumes = {}
@@ -116,8 +125,7 @@ def _refuse_non_integer(text: str) -> NoReturn:
 
 
 def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, object]:
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=_refuse_non_integer, parse_constant=_refuse_non_integer)
+    doc = _load_json(args.cert, parse_float=_refuse_non_integer, parse_constant=_refuse_non_integer)
     if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
     cert = quadform.NoncommCertificate.from_json(doc)

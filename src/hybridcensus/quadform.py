@@ -12,6 +12,7 @@ noncommensurability.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -189,20 +190,29 @@ def _scale(local: list[LocalValue], scale: LocalValue, p: int) -> list[LocalValu
 
 def _table(local: list[LocalValue], p: int) -> dict:
     """The invariants and Hilbert-symbol table of the diagonal form with these
-    local coefficient values, as a certificate records them."""
+    local coefficient values, as a certificate records them.
+
+    Each symbol is read from one valuation parity alpha and one Legendre
+    symbol chi per coefficient, by the formula of `hilbert_symbol`:
+    (a_i, a_j) = (-1)^(alpha_i alpha_j (p-1)/2) chi_i^alpha_j chi_j^alpha_i.
+    The units lie in [1, p-1] and the Legendre symbol is multiplicative, so
+    the discriminant's unit class is the product of the chi.
+    """
+    alphas = [c.val % 2 for c in local]
+    chis = [legendre(c.unit, p, validate=False) for c in local]
+    both_odd = -1 if p % 4 == 3 else 1  # (-1)^((p-1)/2)
     symbols = []
     hasse = 1
     for i, j in itertools.combinations(range(len(local)), 2):
-        s = hilbert_symbol(local[i], local[j], p)
+        s = (chis[i] if alphas[j] else 1) * (chis[j] if alphas[i] else 1)
+        if alphas[i] and alphas[j]:
+            s *= both_odd
         symbols.append({"i": i, "j": j, "symbol": s})
         hasse *= s
-    disc_unit = 1
-    for c in local:
-        disc_unit = disc_unit * c.unit % p
     invariants = {
         "dim": len(local),
         "disc_val_parity": sum(c.val for c in local) % 2,
-        "disc_unit_qr": legendre(disc_unit, p, validate=False),
+        "disc_unit_qr": math.prod(chis),
         "hasse": hasse,
     }
     return {
@@ -338,11 +348,15 @@ def _scan_local_witness(
     matches the target.  So the first witness, and the certificate, is the
     same as that of a walk over every place.  The norms are nonzero, so no
     place above the largest of them divides one, and the scan stops there.
+    A prime divides a product of norms exactly when it divides one of them,
+    so each place tests the two products; a composite p that passes is
+    refused by `is_prime`.
     """
-    tgt_norms = [c.norm() for c in target.coeffs]
-    norms = [c.norm() for c in scaled.coeffs]
-    for p in range(7, min(place_budget, max(abs(n) for n in tgt_norms)) + 1, 8):
-        if any(n % p == 0 for n in tgt_norms) and all(n % p for n in norms) and is_prime(p):
+    tgt_norms = [abs(c.norm()) for c in target.coeffs]
+    tgt_prod = math.prod(tgt_norms)
+    scaled_prod = math.prod(c.norm() for c in scaled.coeffs)
+    for p in range(7, min(place_budget, max(tgt_norms)) + 1, 8):
+        if tgt_prod % p == 0 and scaled_prod % p and is_prime(p):
             witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness

@@ -448,6 +448,25 @@ class TestHarness:
         assert len(built) == first
         capsys.readouterr()
 
+    @pytest.mark.parametrize("depth", [5_000, 100_000])
+    @pytest.mark.parametrize(
+        "command",
+        [["forms", "verify", "--cert"], ["census", "--r", "2", "--m-max", "3", "--volumes"]],
+        ids=["verify", "census"],
+    )
+    def test_deeply_nested_json_is_an_error(self, tmp_path, command, depth):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "hybridcensus.cli", *command, str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert json.loads(done.stdout) == {
+            "message": f"{path}: JSON nested too deeply", "status": "error"
+        }
+        assert done.stdout.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_stdout_closed_early_exits_quietly(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         argv = [sys.executable, "-m", "hybridcensus.cli", "words", "enumerate", "--r", "2", "--m", "10"]

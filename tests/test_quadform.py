@@ -393,6 +393,16 @@ class TestFastScan:
         full = certify_noncommensurable(q, q2, n, 10**5)
         assert cert == (None if full is None else full.to_json())
 
+    @pytest.mark.parametrize("budget", [16, 100, 1000])
+    def test_composite_place_split_across_norms(self, budget):
+        # 15 = 7 (mod 8) divides the product 9 * 25 of two target norms but
+        # neither norm; the scan must still refuse it as a place
+        q = DiagonalForm((Sqrt2Int(3), Sqrt2Int(5), Sqrt2Int(1), Sqrt2Int(1), -SQRT2))
+        assert is_admissible(q)
+        for f in generate_family(4, 4):
+            self.check(q, f, budget)
+            self.check(f, q, budget)
+
 
 class TestVerifier:
     def test_local_witness_roundtrip(self):

@@ -7,7 +7,9 @@ forms, a certificate written by `certify_noncommensurable`, passed through
 LocalWitness table is laid out as documented: one local value per
 coefficient, symbols in pair order, invariants that recompute from the
 local values, rows in square-class order and key order fixed, so that
-`json.dumps` without `sort_keys` writes the same bytes.
+`json.dumps` without `sort_keys` writes the same bytes.  The tables, read
+from one Legendre symbol per coefficient, agree symbol by symbol with
+`hilbert_symbol`.
 Examples are bounded and derandomized so that the suite stays fast and
 repeatable.
 """
@@ -22,13 +24,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcensus.exact_arith import Sqrt2Int, legendre
+from hybridcensus.exact_arith import LocalValue, Sqrt2Int, legendre
 from hybridcensus.quadform import (
     SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
+    _table,
     certify_noncommensurable,
     generate_family,
+    hilbert_symbol,
     is_admissible,
     verify_certificate,
 )
@@ -144,3 +148,18 @@ def test_family_certificate_layout(pair):
 @given(admissible_pairs(EVEN_DIMENSIONS))
 def test_random_admissible_certificate_layout(pair):
     assert_certificate_layout(*pair)
+
+
+@pytest.mark.parametrize("p", [7, 23, 47, 17, 41, 73])  # (p-1)/2 odd, then even
+@PROPERTY
+@given(data=st.data())
+def test_table_matches_hilbert_symbol(p, data):
+    value = st.builds(LocalValue, st.integers(0, 3), st.integers(1, p - 1))
+    local = data.draw(st.lists(value, min_size=3, max_size=10))
+    table = _table(local, p)
+    symbols = [s["symbol"] for s in table["symbols"]]
+    pairs = itertools.combinations(range(len(local)), 2)
+    assert symbols == [hilbert_symbol(local[i], local[j], p) for i, j in pairs]
+    inv = table["invariants"]
+    assert inv["hasse"] == math.prod(symbols)
+    assert inv["disc_unit_qr"] == legendre(math.prod(c.unit for c in local) % p, p)
