@@ -14,7 +14,6 @@ from .exact_arith import (
     legendre,
     sqrt_mod_p,
     valuation_f,
-    valuation_q,
 )
 from .gluing import (
     CyclicWord,

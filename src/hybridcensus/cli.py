@@ -236,11 +236,21 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so that `main` answers
+    them like any other bad input: exit 2 and one JSON error on stdout.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command grammar, built on the first `main` call and reused: argparse
     keeps no state between `parse_args` calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybrid-census",
         description="Exact certificates for form noncommensurability, cyclic gluing "
         "words, and equal-volume census tables.",
@@ -307,10 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         code, payload = args.handler(args)
+    except SystemExit as exc:  # --help; a usage error raises ValueError
+        return int(exc.code or 0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _diag(f"error: {exc}")
         code, payload = 2, {"status": "error", "message": str(exc)}

@@ -3,8 +3,8 @@
 Everything in this module is arbitrary precision; no floats anywhere.
 A LocalPlace pins down an embedding of Q(sqrt(2)) into Q_p at an odd
 prime p where 2 is a quadratic residue, and valuation_f reads off exact
-valuations and unit residues of embedded ring elements through
-Hensel-lifted square roots of 2.
+valuations and unit residues of embedded ring elements modulo p, from the
+element and its norm.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ __all__ = [
     "smallest_nonresidue",
     "sqrt_mod_p",
     "square_test_f",
-    "unit_part_q",
     "valuation_f",
-    "valuation_q",
 ]
 
 
@@ -81,33 +79,7 @@ def primes_from(start: int = 2) -> Iterator[int]:
         n += 1
 
 
-# -------------------------------------------------------- rational p-adics
-
-
-def _vp_int(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def valuation_q(x: Rational, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise ValueError("valuation of zero undefined")
-    x = Fraction(x)
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
-
-
-def unit_part_q(x: Rational, p: int) -> Fraction:
-    """x / p^v_p(x), with p-free numerator and denominator."""
-    v = valuation_q(x, p)
-    x = Fraction(x)
-    if v >= 0:
-        return Fraction(x.numerator // p**v, x.denominator)
-    return Fraction(x.numerator, x.denominator // p**-v)
+# ---------------------------------------------------------------- residues
 
 
 def legendre(a: int, p: int, *, validate: bool = True) -> int:
@@ -313,23 +285,26 @@ class LocalValue(NamedTuple):
 def valuation_f(x: Sqrt2Int, place: LocalPlace) -> LocalValue:
     """Valuation and unit residue of x under the place's embedding into Q_p.
 
-    Precision p^B with B = v_p(norm x) + 1 is always enough: the embedding
-    valuation is at most v_p(norm x) because the conjugate embedding is
-    integral too.
+    Write x = p^j (u + v*sqrt(2)) with p not dividing both u and v, and let
+    c be the place's root.  If u + v*c is a unit mod p, x has valuation j and
+    that unit digit.  Otherwise u = -v*c (mod p), so p does not divide v, and
+    the conjugate u - v*sqrt(2) = -2*v*c (mod p) is a unit at this place.
+    The norm N = u^2 - 2*v^2 is the product of the two, so u + v*sqrt(2)
+    carries all of p^k = p^v_p(N), with unit digit (N / p^k) / (u - v*c).
     """
     if not x:
         raise ValueError("valuation of zero undefined")
-    p = place.p
-    bound = _vp_int(x.norm(), p) + 1
-    root = hensel_lift_sqrt2(place, bound)
-    t = (x.u + x.v * root) % p**bound
-    if t == 0:
-        raise ValueError(f"valuation_f: {x!r} vanishes mod {p}^{bound}, past its precision bound")
-    val = 0
-    while t % p == 0:
-        t //= p
-        val += 1
-    return LocalValue(val, t % p)
+    p, c = place.p, place.sqrt2_root
+    u, v, j = x.u, x.v, 0
+    while u % p == 0 and v % p == 0:
+        u, v, j = u // p, v // p, j + 1
+    digit = (u + v * c) % p
+    if digit:
+        return LocalValue(j, digit)
+    norm, k = u * u - 2 * v * v, 0
+    while norm % p == 0:
+        norm, k = norm // p, k + 1
+    return LocalValue(j + k, norm * pow(u - v * c, -1, p) % p)
 
 
 # ------------------------------------------------------------ square tests

@@ -90,7 +90,8 @@ class CyclicWord:
 
     @classmethod
     def parse(cls, text: str, r: Optional[int] = None) -> "CyclicWord":
-        """Parse a comma-separated word like "2,1,1"; r defaults to the largest letter.
+        """Parse a comma-separated word like "2,1,1"; r defaults to the largest
+        letter, or 1 when no letter is positive, so that the error names a letter.
 
         `int` gives exact ints, so only the range is checked, over the set of
         distinct letters; the letters are scanned in order only to name the
@@ -102,7 +103,7 @@ class CyclicWord:
             raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
         distinct = set(letters)
         if r is None:
-            r = max(distinct)
+            r = max(max(distinct), 1)
         _check_alphabet(r)
         if min(distinct) < 1 or max(distinct) > r:
             bad = next(x for x in letters if not 1 <= x <= r)

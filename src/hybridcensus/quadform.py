@@ -2,11 +2,15 @@
 
 Provides admissibility and anisotropy checks, Hilbert symbols and
 Hasse-Witt invariants at split places, and machine-checkable
-noncommensurability certificates for families of such forms: two
-admissible forms give commensurable integer-point lattices only if the
-forms are isometric up to a scalar, so a local invariant separating one
-form from every scaling of the other is a witness of
-noncommensurability.
+noncommensurability certificates for families of such forms.  An
+admissible form is hyperbolic at one real embedding of Q(sqrt(2)), and
+its integer-point lattice acts on hyperbolic space through that
+embedding.  Two admissible forms hyperbolic at the same embedding give
+commensurable lattices only if the forms are isometric up to a scalar, so
+a local invariant separating one form from every scaling of the other is
+a witness of noncommensurability.  A form and its conjugate (u + v*sqrt(2)
+-> u - v*sqrt(2) in every coefficient) give the same lattice through the
+two embeddings, so a pair hyperbolic at different embeddings is refused.
 """
 
 from __future__ import annotations
@@ -368,6 +372,9 @@ def _check_pair(q: DiagonalForm, q2: DiagonalForm) -> None:
         raise ValueError("forms must have the same dimension")
     if not is_admissible(q) or not is_admissible(q2):
         raise ValueError("both forms must be admissible")
+    if signatures(q) != signatures(q2):
+        # q and its conjugate define the same lattice, read through the two embeddings
+        raise ValueError("the forms must be hyperbolic at the same real embedding")
 
 
 def _odd_certificate(q: DiagonalForm, q2: DiagonalForm) -> Optional[NoncommCertificate]:
@@ -410,7 +417,8 @@ def certify_noncommensurable(
     where all four scalar square classes mismatch; the roles-swapped scan
     is run as well and recorded.  Returns None when no witness exists
     within the budget; that is absence of a certificate, not a proof of
-    commensurability.
+    commensurability.  Both forms must be admissible and hyperbolic at the
+    same real embedding, or a ValueError is raised.
     """
     _check_pair(q_a, q_a2)
     if n is not None and n != q_a.n:

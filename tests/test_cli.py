@@ -10,8 +10,15 @@ import pytest
 
 from hybridcensus import cli, exact_arith
 from hybridcensus.cli import main
+from hybridcensus.exact_arith import Sqrt2Int
 from hybridcensus.gluing import necklace_count
-from hybridcensus.quadform import DiagonalForm, NoncommCertificate, _witness_at, verify_certificate
+from hybridcensus.quadform import (
+    DiagonalForm,
+    NoncommCertificate,
+    _odd_certificate,
+    _witness_at,
+    verify_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -187,6 +194,20 @@ class TestFormsCertify:
         path.write_text(json.dumps({"certificate": cert.to_json()}), encoding="utf-8")
         code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(path))
         assert code == 2 and verified["status"] == "error"
+
+    def test_verify_refuses_pair_across_embeddings(self, capsys, tmp_path):
+        # <1, 1, 1, 1 - sqrt2> and its conjugate are hyperbolic at different
+        # real embeddings and give one lattice; the discriminant ratio -1 is
+        # no square, so the odd witness holds for the forms but is refused
+        q = DiagonalForm((Sqrt2Int(1), Sqrt2Int(1), Sqrt2Int(1), Sqrt2Int(1, -1)))
+        sigma_q = DiagonalForm(tuple(c.conjugate() for c in q.coeffs))
+        cert = _odd_certificate(q, sigma_q)
+        assert cert is not None and cert.witness["ratio_product"] == {"u": "-1", "v": "0"}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"certificate": cert.to_json()}), encoding="utf-8")
+        code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
+        assert code == 2 and verified["status"] == "error"
+        assert "Traceback" not in err
 
     def test_huge_budget_ends_at_largest_norm(self):
         # no witness for this pair at any budget; the scan stops at 23^2, so a
@@ -385,6 +406,31 @@ class TestHarness:
         assert main(["bogus"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forms", "certify", "--n", "x", "--a", "7", "--a-prime", "23"],
+            ["census", "--r", "2"],
+            ["bogus"],
+            [],
+            ["words", "canon", "--word"],
+            ["forms", "family", "--n", "4", "--count", "2", "--format", "xml"],
+        ],
+        ids=["bad-int", "missing-option", "unknown-command", "empty", "missing-value", "bad-choice"],
+    )
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        # argparse words its messages differently across Python versions,
+        # so only the exit code and the status are checked
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out.count("\n") == 1
+        assert json.loads(out)["status"] == "error"
+        assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["forms", "certify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage:")
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "census", "--r", "2", "--m-max", "16")
         _, out2, _ = run(capsys, "census", "--r", "2", "--m-max", "16")
@@ -405,6 +451,10 @@ class TestHarness:
              "hyperbolic dimension n must be >= 2"),
             (["census", "--r", "0", "--m-max", "4"], "alphabet size r must be >= 1"),
             (["census", "--r", "2", "--m-max", "-1"], "m_max must be >= 0"),
+            # with no --r the alphabet comes from the word, so the letter is named
+            (["words", "canon", "--word", "0"], "letter 0 outside alphabet [1, 1]"),
+            (["words", "stabilizer", "--word=-2,-1"], "letter -2 outside alphabet [1, 1]"),
+            (["words", "canon", "--word", "0", "--r", "0"], "alphabet size r must be >= 1"),
         ],
     )
     def test_library_argument_errors_exit_2(self, capsys, argv, message):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from hybridcensus import exact_arith
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -16,12 +15,46 @@ from hybridcensus.exact_arith import (
     smallest_nonresidue,
     sqrt_mod_p,
     square_test_f,
-    unit_part_q,
     valuation_f,
-    valuation_q,
 )
 
 SPLIT_PRIMES = [7, 17, 23, 31, 41, 47, 71, 73, 79, 89, 97, 103]
+
+# every place below 200: both roots of 2 at p = 1 (mod 8), the residue root at p = 7 (mod 8)
+PLACES = [
+    place
+    for p in range(7, 200, 2)
+    if p % 8 in (1, 7) and is_prime(p)
+    for place in (
+        (LocalPlace.at(p),)
+        if p % 8 == 7
+        else (LocalPlace(p, sqrt_mod_p(2, p)), LocalPlace(p, p - sqrt_mod_p(2, p)))
+    )
+]
+
+
+def vp(n, p):
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def lifted_valuation(x, place):
+    """Slow oracle for valuation_f: embed x through the root of 2 lifted to
+    p^(v_p(norm x) + 1), then strip the powers of p from the residue.  The
+    precision is enough because the conjugate embedding is integral too."""
+    p = place.p
+    k = vp(x.norm(), p) + 1
+    t = (x.u + x.v * hensel_lift_sqrt2(place, k)) % p**k
+    assert t, (x, place)
+    val = 0
+    while t % p == 0:
+        t //= p
+        val += 1
+    return val, t % p
 
 
 def brute_square_root_f(x, bound):
@@ -63,31 +96,6 @@ class TestPrimes:
         for n in (3317044064679887385961981, 3317044064679887385962191, 2**89 - 1):
             with pytest.raises(ValueError, match="deterministic bound"):
                 is_prime(n)
-
-
-class TestValuationQ:
-    def test_prime_itself(self):
-        assert valuation_q(7, 7) == 1
-
-    def test_unit(self):
-        assert valuation_q(1, 7) == 0
-
-    def test_fraction(self):
-        # 98 = 2 * 7^2 by trial division, denominator 3 is 7-free
-        assert valuation_q(Fraction(98, 3), 7) == 2
-
-    def test_negative_valuation(self):
-        assert valuation_q(Fraction(3, 49), 7) == -2
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="valuation of zero"):
-            valuation_q(0, 7)
-
-    def test_unit_part(self):
-        u = unit_part_q(Fraction(98, 3), 7)
-        assert u == Fraction(2, 3)
-        assert u.numerator % 7 and u.denominator % 7
-        assert unit_part_q(Fraction(3, 49), 7) == 3
 
 
 class TestLegendre:
@@ -249,13 +257,6 @@ class TestValuationF:
         with pytest.raises(ValueError, match="valuation of zero"):
             valuation_f(Sqrt2Int(0, 0), LocalPlace.at(7))
 
-    def test_vanishing_past_bound_is_value_error(self, monkeypatch):
-        # a root of 2 that is wrong (6^2 = 1 mod 7) embeds 1 + sqrt2 as 7 = 0 mod 7^1;
-        # the check is a raise, not an assert that `python -O` would strip
-        monkeypatch.setattr(exact_arith, "hensel_lift_sqrt2", lambda place, k: 6)
-        with pytest.raises(ValueError, match="precision bound"):
-            valuation_f(Sqrt2Int(1, 1), LocalPlace.at(7))
-
     def test_deep_divisibility(self):
         p7 = LocalPlace.at(7)
         x = Sqrt2Int(7**5, 0) * Sqrt2Int(3, 1)
@@ -289,7 +290,7 @@ class TestValuationF:
                 continue
             vx = valuation_f(x, place)
             vconj_same = valuation_f(x.conjugate(), place)
-            assert vx.val + vconj_same.val == valuation_q(x.norm(), p)
+            assert vx.val + vconj_same.val == vp(x.norm(), p)
             assert valuation_f(x.conjugate(), other) == vx
 
     def test_norm_splits_at_7_mod_8(self):
@@ -300,7 +301,22 @@ class TestValuationF:
             if not x:
                 continue
             total = valuation_f(x, place).val + valuation_f(x.conjugate(), place).val
-            assert total == valuation_q(x.norm(), place.p)
+            assert total == vp(x.norm(), place.p)
+
+    @pytest.mark.parametrize("place", PLACES, ids=lambda pl: f"p{pl.p}c{pl.sqrt2_root}")
+    def test_matches_lifted_root(self, place):
+        # random elements, pushed into the place's prime by powers of c - sqrt2
+        # and into p^j by a common factor
+        p = place.p
+        prime = Sqrt2Int(place.sqrt2_root, -1)
+        rng = random.Random(p * 1000 + place.sqrt2_root)
+        for _ in range(200):
+            x = Sqrt2Int(rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6))
+            for _ in range(rng.choice([0, 0, 1, 2, 3, 4])):
+                x = x * prime
+            x = x * p ** rng.randint(0, 3)
+            if x:
+                assert valuation_f(x, place) == lifted_valuation(x, place), x
 
 
 class TestSquareTests:

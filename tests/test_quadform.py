@@ -20,6 +20,7 @@ from hybridcensus.quadform import (
     DiagonalForm,
     NoncommCertificate,
     _local_certificate,
+    _odd_certificate,
     _witness_at,
     certify_noncommensurable,
     disc_class,
@@ -296,6 +297,23 @@ class TestCertify:
         q2 = DiagonalForm.standard(2, 3)
         assert certify_noncommensurable(q1, q2, 3) is None
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_conjugate_pair_refused(self, n):
+        # q and its conjugate give one lattice, read through the two real
+        # embeddings; their discriminant ratio is still a non-square, so the
+        # odd witness would be true of the forms and say nothing of lattices
+        rng = random.Random(3)
+        for _ in range(20):
+            q = random_admissible(rng, n)
+            sigma_q = conjugate_form(q)
+            assert is_admissible(sigma_q) and signatures(sigma_q) == signatures(q)[::-1]
+            with pytest.raises(ValueError, match="same real embedding"):
+                certify_noncommensurable(q, sigma_q, n)
+            with pytest.raises(ValueError, match="same real embedding"):
+                certify_noncommensurable(sigma_q, q, n)
+            hostile = _odd_certificate(q, sigma_q)
+            assert hostile is not None and not verify_certificate(hostile)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             certify_noncommensurable(Q7, DiagonalForm.standard(7, 6))
@@ -344,7 +362,9 @@ def oracle_certificate(q, q2, budget):
 
 def random_admissible(rng, n):
     """Totally positive a_1..a_n and a last coefficient of negative norm, which
-    is negative at exactly one real embedding."""
+    is negative at exactly one real embedding.  The last coefficient is
+    conjugated when needed so that, like the standard family, every form is
+    hyperbolic at the identity embedding (u + v*sqrt(2) < 0 iff v < 0 here)."""
 
     def draw(positive_norm):
         while True:
@@ -352,9 +372,14 @@ def random_admissible(rng, n):
             if positive_norm and c.u > 0 and c.norm() > 0:
                 return c
             if not positive_norm and c.norm() < 0:
-                return c
+                return c if c.v < 0 else c.conjugate()
 
     return DiagonalForm(tuple(draw(True) for _ in range(n)) + (draw(False),))
+
+
+def conjugate_form(q):
+    """The form with every coefficient u + v*sqrt(2) replaced by u - v*sqrt(2)."""
+    return DiagonalForm(tuple(c.conjugate() for c in q.coeffs))
 
 
 class TestFastScan:

@@ -79,7 +79,9 @@ def admissible_pairs(draw, dimensions=DIMENSIONS):
 
     def form():
         leading = draw(st.lists(coefficient(True), min_size=n, max_size=n))
-        return DiagonalForm(tuple(leading) + (draw(coefficient(False)),))
+        last = draw(coefficient(False))
+        # hyperbolic at the identity embedding, as certify requires of a pair
+        return DiagonalForm(tuple(leading) + (last if last.v < 0 else last.conjugate(),))
 
     return form(), form()
 
