@@ -28,7 +28,6 @@ from .gluing import (
 )
 from .quadform import (
     DiagonalForm,
-    LocalInvariants,
     NoncommCertificate,
     certify_noncommensurable,
     disc_class,
@@ -37,7 +36,6 @@ from .quadform import (
     hilbert_symbol,
     is_admissible,
     is_anisotropic_certified,
-    scaled_invariants,
     signatures,
     verify_certificate,
 )

@@ -79,6 +79,10 @@ def asymptotic_log(r: int, m: int) -> float:
     return -math.log(m) - (r - 1) / 2 * math.log(2 * math.pi * m) + (r * m - 1) * math.log(r)
 
 
+# the fields of a row that JSON and CSV share, in CSV column order
+_ROW_FIELDS = ("m", "a_m", "pow2", "multinomial_bound", "asymptotic", "ratio")
+
+
 @dataclass(frozen=True)
 class CensusRow:
     m: int
@@ -93,16 +97,20 @@ class CensusRow:
         """exact_count / asymptotic, evaluated in log space to dodge overflow."""
         return math.exp(math.log(self.exact_count) - self.asymptotic_log)
 
+    def _fields(self) -> tuple:
+        """The fields named in _ROW_FIELDS, rendered as JSON and CSV both write
+        them; str(float) == repr(float), so CSV can join them with str."""
+        return (
+            self.m,
+            str(self.exact_count),
+            str(self.power_bound),
+            _frac_str(self.multinomial_bound),
+            render_log_scientific(self.asymptotic_log),
+            self.ratio,
+        )
+
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "a_m": str(self.exact_count),
-            "pow2": str(self.power_bound),
-            "multinomial_bound": _frac_str(self.multinomial_bound),
-            "asymptotic": render_log_scientific(self.asymptotic_log),
-            "ratio": self.ratio,
-            "volume": self.volume.to_json(),
-        }
+        return dict(zip(_ROW_FIELDS, self._fields()), volume=self.volume.to_json())
 
 
 _MANTISSA_DIGITS = 9
@@ -155,13 +163,8 @@ def theorem_table(
 
 
 def table_to_csv(rows: list[CensusRow]) -> str:
-    lines = ["m,a_m,pow2,multinomial_bound,asymptotic,ratio"]
-    for row in rows:
-        lines.append(
-            f"{row.m},{row.exact_count},{row.power_bound},"
-            f"{_frac_str(row.multinomial_bound)},"
-            f"{render_log_scientific(row.asymptotic_log)},{row.ratio!r}"
-        )
+    lines = [",".join(_ROW_FIELDS)]
+    lines += [",".join(map(str, row._fields())) for row in rows]
     return "\n".join(lines) + "\n"
 
 

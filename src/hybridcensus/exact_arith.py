@@ -252,11 +252,14 @@ class LocalPlace:
     @classmethod
     def at(cls, p: int) -> "LocalPlace":
         """The canonical place at p: QR root for p = 7 (mod 8), smaller root otherwise."""
+        if p % 8 == 7:
+            # (p + 1)/4 is even, so c = 2^((p+1)/4) is a square, and
+            # c^2 = 2 * 2^((p-1)/2) = 2 * (2|p) = 2, since 2 is a residue mod a
+            # prime p = 7 (mod 8); __post_init__ still refuses a composite p
+            return cls(p, pow(2, (p + 1) // 4, p))
         c = sqrt_mod_p(2, p)
         if c is None:
             raise ValueError(f"invalid place: 2 is not a square mod {p}")
-        if p % 8 == 7 and legendre(c, p, validate=False) != 1:
-            c = p - c
         return cls(p, c)
 
 
@@ -264,6 +267,8 @@ def hensel_lift_sqrt2(place: LocalPlace, k: int) -> int:
     """Root of x^2 = 2 mod p^k congruent to place.sqrt2_root mod p.
 
     Newton iteration x <- (x + 2/x) / 2 doubles the precision each step.
+    No production path calls it: `valuation_f` works modulo p only, and the
+    tests use this lift as its reference.
     """
     if k < 1:
         raise ValueError("precision k must be >= 1")

@@ -1,16 +1,19 @@
 """Diagonal quadratic forms over Q(sqrt(2)) and their local invariants.
 
-Provides admissibility and anisotropy checks, Hilbert symbols and
-Hasse-Witt invariants at split places, and machine-checkable
-noncommensurability certificates for families of such forms.  An
-admissible form is hyperbolic at one real embedding of Q(sqrt(2)), and
-its integer-point lattice acts on hyperbolic space through that
-embedding.  Two admissible forms hyperbolic at the same embedding give
-commensurable lattices only if the forms are isometric up to a scalar, so
-a local invariant separating one form from every scaling of the other is
-a witness of noncommensurability.  A form and its conjugate (u + v*sqrt(2)
--> u - v*sqrt(2) in every coefficient) give the same lattice through the
-two embeddings, so a pair hyperbolic at different embeddings is refused.
+Provides admissibility and anisotropy checks, the local invariants of a
+form (or of a scaled form) at a split place, and machine-checkable
+noncommensurability certificates for families of such forms.  Local
+invariants have one representation: the `invariants` dict of the table a
+certificate records, with keys dim, disc_val_parity, disc_unit_qr and
+hasse.  An admissible form is hyperbolic at one real embedding of
+Q(sqrt(2)), and its integer-point lattice acts on hyperbolic space
+through that embedding.  Two admissible forms hyperbolic at the same
+embedding give commensurable lattices only if the forms are isometric up
+to a scalar, so a local invariant separating one form from every scaling
+of the other is a witness of noncommensurability.  A form and its
+conjugate (u + v*sqrt(2) -> u - v*sqrt(2) in every coefficient) give the
+same lattice through the two embeddings, so a pair hyperbolic at
+different embeddings is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .exact_arith import (
 __all__ = [
     "SQUARE_CLASSES",
     "DiagonalForm",
-    "LocalInvariants",
     "NoncommCertificate",
     "certify_noncommensurable",
     "disc_class",
@@ -46,7 +48,6 @@ __all__ = [
     "is_admissible",
     "is_anisotropic_certified",
     "local_invariants",
-    "scaled_invariants",
     "signatures",
     "verify_certificate",
 ]
@@ -141,27 +142,16 @@ def is_anisotropic_certified(q: DiagonalForm) -> bool:
 # --------------------------------------------------------- local invariants
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
-    """Isometry invariants of a form over Q_p: dimension, discriminant class, Hasse-Witt."""
-
-    dim: int
-    disc_val_parity: int
-    disc_unit_qr: int
-    hasse: int
-
-
-def hilbert_symbol(
-    a: LocalValue, b: LocalValue, place: Union[LocalPlace, int]
-) -> int:
-    """Hilbert symbol (a, b) over Q_p for odd p.
+def hilbert_symbol(a: LocalValue, b: LocalValue, p: int) -> int:
+    """Hilbert symbol (a, b) over Q_p for an odd prime p.
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over Q_p.  For
     a = p^alpha u, b = p^beta w this is
-    (-1)^(alpha beta (p-1)/2) * (u|p)^beta * (w|p)^alpha.
+    (-1)^(alpha beta (p-1)/2) * (u|p)^beta * (w|p)^alpha.  No production
+    path calls it: `_table` reads the same formula from one Legendre symbol
+    per coefficient, and the tests use this function as its reference.
     """
-    p = place.p if isinstance(place, LocalPlace) else place
-    if p < 3 or p % 2 == 0:
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"hilbert_symbol needs an odd prime, got {p}")
     alpha, beta = a.val % 2, b.val % 2
     s = 1
@@ -228,30 +218,24 @@ def _table(local: list[LocalValue], p: int) -> dict:
 
 def local_invariants(
     q: DiagonalForm, place: LocalPlace, scale: Optional[LocalValue] = None
-) -> LocalInvariants:
-    """Invariants of q (or of lambda * q when scale is the class of lambda) over Q_p."""
+) -> dict:
+    """Invariants of q (or of lambda * q when scale is the class of lambda) over
+    Q_p, as the `invariants` dict of the table a certificate records."""
     local = _local_values(q, place)
     if scale is not None:
         local = _scale(local, scale, place.p)
-    return LocalInvariants(**_table(local, place.p)["invariants"])
+    return _table(local, place.p)["invariants"]
 
 
 def hasse_witt(q: DiagonalForm, place: LocalPlace) -> int:
     """Product of Hilbert symbols (a_i, a_j) over all coefficient pairs i < j."""
-    return local_invariants(q, place).hasse
+    return local_invariants(q, place)["hasse"]
 
 
 def disc_class(q: DiagonalForm, place: LocalPlace) -> tuple[int, int]:
     """Class of the product of coefficients in Q_p^*/(Q_p^*)^2: (valuation mod 2, Legendre of unit part)."""
     inv = local_invariants(q, place)
-    return inv.disc_val_parity, inv.disc_unit_qr
-
-
-def scaled_invariants(q: DiagonalForm, place: LocalPlace, lam: str) -> LocalInvariants:
-    """Invariants of lambda * q for lambda in the square class "1", "u", "p" or "up"."""
-    if lam not in SQUARE_CLASSES:
-        raise ValueError(f"unknown square class {lam!r}, expected one of {SQUARE_CLASSES}")
-    return local_invariants(q, place, dict(_square_classes(place.p))[lam])
+    return inv["disc_val_parity"], inv["disc_unit_qr"]
 
 
 # ------------------------------------------------------------- certificates

@@ -195,3 +195,15 @@ class TestCsv:
         text = table_to_csv(theorem_table(2, 70))
         last = text.strip().split("\n")[-1].split(",")
         assert int(last[1]) == necklace_count(2, 70)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("volumes", [None, {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(2)}])
+    def test_lines_match_json_rows(self, r, volumes):
+        rows = theorem_table(r, 12, volumes)
+        header, *lines = table_to_csv(rows).rstrip("\n").split("\n")
+        keys = header.split(",")
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            obj = row.to_json()
+            assert sorted(obj) == sorted(keys + ["volume"])
+            assert line.split(",") == [str(obj[k]) for k in keys]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -21,6 +22,7 @@ from hybridcensus.quadform import (
     NoncommCertificate,
     _local_certificate,
     _odd_certificate,
+    _square_classes,
     _witness_at,
     certify_noncommensurable,
     disc_class,
@@ -30,7 +32,6 @@ from hybridcensus.quadform import (
     is_admissible,
     is_anisotropic_certified,
     local_invariants,
-    scaled_invariants,
     signatures,
     verify_certificate,
 )
@@ -66,7 +67,7 @@ class TestHilbertSymbol:
         place = LocalPlace.at(7)
         a = valuation_f(Sqrt2Int(7), place)
         b = valuation_f(-SQRT2, place)
-        assert hilbert_symbol(a, b, place) == -1
+        assert hilbert_symbol(a, b, place.p) == -1
 
     def test_prime_against_nonresidue(self):
         # legendre(3, 7) = -1 by Euler's criterion: 3^3 = 27 = 6 mod 7
@@ -83,8 +84,9 @@ class TestHilbertSymbol:
             assert hilbert_symbol(a, neg_a, p) == 1
 
     def test_even_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert_symbol(LocalValue(0, 1), LocalValue(0, 1), 4)
+        for p in (4, 9, 15):  # 9 and 15: odd but composite
+            with pytest.raises(ValueError):
+                hilbert_symbol(LocalValue(0, 1), LocalValue(0, 1), p)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_against_isotropy_oracle_exhaustive(self, p):
@@ -238,15 +240,11 @@ class TestSignatures:
 class TestScaledInvariants:
     def test_identity_class(self):
         place = LocalPlace.at(7)
-        assert scaled_invariants(Q23, place, "1") == local_invariants(Q23, place)
+        assert local_invariants(Q23, place, LocalValue(0, 1)) == local_invariants(Q23, place)
 
     def test_hand_expanded_value(self):
         # n = 4, all ten pair symbols of p * q_23 at p = 7 multiply to +1
-        assert scaled_invariants(Q23, LocalPlace.at(7), "p").hasse == 1
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_invariants(Q23, LocalPlace.at(7), "q")
+        assert local_invariants(Q23, LocalPlace.at(7), LocalValue(1, 1))["hasse"] == 1
 
     def test_depends_only_on_square_class(self):
         rng = random.Random(16)
@@ -263,7 +261,20 @@ class TestScaledInvariants:
             got1 = local_invariants(Q23, place, lam)
             got2 = local_invariants(Q23, place, lam_sq)
             assert got1 == got2
-            assert got1 == scaled_invariants(Q23, place, lam_label)
+            assert lam == dict(_square_classes(p))[lam_label]
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_witness_rows_are_scaled_invariants(self, n):
+        forms = generate_family(n, 4)
+        for q, q2 in itertools.permutations(forms, 2):
+            witness = _witness_at(q, q2, q.coeffs[0].u)
+            assert witness is not None
+            place = LocalPlace(witness["p"], witness["sqrt2_root"])
+            assert witness["target"]["invariants"] == local_invariants(q, place)
+            scales = dict(_square_classes(place.p))
+            assert [row["lambda"] for row in witness["rows"]] == list(scales)
+            for row in witness["rows"]:
+                assert row["invariants"] == local_invariants(q2, place, scales[row["lambda"]])
 
 
 class TestCertify:
