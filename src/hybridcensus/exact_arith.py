@@ -103,16 +103,14 @@ def smallest_nonresidue(p: int) -> int:
 def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     """Smallest c with c^2 = a (mod p), or None when a is not a nonzero QR.
 
-    Tonelli-Shanks, with the p = 3 (mod 4) shortcut.
+    Tonelli-Shanks; for p = 3 (mod 4) (s = 1) the loop does not run and the
+    root is a^((p+1)/4).
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"sqrt_mod_p: modulus {p} is not an odd prime")
     a %= p
     if legendre(a, p, validate=False) != 1:
         return None
-    if p % 4 == 3:
-        c = pow(a, (p + 1) // 4, p)
-        return min(c, p - c)
     # write p-1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -222,11 +220,12 @@ def _coerce(x: Union[Sqrt2Int, int]) -> Sqrt2Int:
 class LocalPlace:
     """An odd prime p split in Q(sqrt(2)) together with a chosen root of 2 mod p.
 
-    The chosen root fixes the embedding sqrt(2) -> c of the field into Q_p.
-    For p = 7 (mod 8) exactly one of the two roots is itself a quadratic
-    residue (-1 is a non-residue there), and that root is required; for
-    the remaining split primes the smaller root is the convention used by
-    `LocalPlace.at`, but either root is accepted.
+    The chosen root c fixes the embedding sqrt(2) -> c of the field into
+    Q_p, and either root of 2 names one of the two places above p.
+    `LocalPlace.at` picks one: at p = 7 (mod 8) the root that is itself a
+    quadratic residue (exactly one is, since -1 is a non-residue there),
+    and the smaller root otherwise.  Certificates record the root `at`
+    picks, and `verify_certificate` refuses one that names the other.
     """
 
     p: int
@@ -238,11 +237,6 @@ class LocalPlace:
             raise ValueError(f"invalid place: {p} is not an odd prime")
         if not (1 <= c < p) or c * c % p != 2:
             raise ValueError(f"invalid place: {c}^2 != 2 mod {p}")
-        if p % 8 == 7 and not self.root_is_qr:
-            raise ValueError(
-                f"invalid place: for p = 7 (mod 8) the residue root is required "
-                f"(use {p - c} instead of {c})"
-            )
 
     @property
     def root_is_qr(self) -> bool:

@@ -37,7 +37,6 @@ from .exact_arith import (
 )
 
 __all__ = [
-    "SQUARE_CLASSES",
     "DiagonalForm",
     "NoncommCertificate",
     "certify_noncommensurable",
@@ -51,8 +50,6 @@ __all__ = [
     "signatures",
     "verify_certificate",
 ]
-
-SQUARE_CLASSES = ("1", "u", "p", "up")
 
 
 # ------------------------------------------------------------------- forms
@@ -220,9 +217,12 @@ def local_invariants(
     q: DiagonalForm, place: LocalPlace, scale: Optional[LocalValue] = None
 ) -> dict:
     """Invariants of q (or of lambda * q when scale is the class of lambda) over
-    Q_p, as the `invariants` dict of the table a certificate records."""
+    Q_p, as the `invariants` dict of the table a certificate records.  A
+    scale's unit digit must be a unit mod p."""
     local = _local_values(q, place)
     if scale is not None:
+        if scale.unit % place.p == 0:
+            raise ValueError(f"scale unit digit {scale.unit} is not a unit mod {place.p}")
         local = _scale(local, scale, place.p)
     return _table(local, place.p)["invariants"]
 
@@ -303,11 +303,14 @@ def _disc_ratio_product(q: DiagonalForm, q2: DiagonalForm) -> Sqrt2Int:
 
 def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[dict]:
     """The LocalWitness table at the place p: the target's invariants and one
-    row per square class of scalars, or None when p is not 7 (mod 8) or as
-    soon as some class matches."""
+    row per square class of scalars, or None when p is not a prime 7 (mod 8)
+    below the primality bound or as soon as some class matches."""
     if p % 8 != 7:
         return None
-    place = LocalPlace.at(p)
+    try:
+        place = LocalPlace.at(p)
+    except ValueError:
+        return None
     target_table = _table(_local_values(target, place), p)
     target_inv = target_table["invariants"]
     scaled_local = _local_values(scaled, place)
@@ -338,13 +341,13 @@ def _scan_local_witness(
     place above the largest of them divides one, and the scan stops there.
     A prime divides a product of norms exactly when it divides one of them,
     so each place tests the two products; a composite p that passes is
-    refused by `is_prime`.
+    refused by `_witness_at`, which `LocalPlace.at` tests for primality.
     """
     tgt_norms = [abs(c.norm()) for c in target.coeffs]
     tgt_prod = math.prod(tgt_norms)
     scaled_prod = math.prod(c.norm() for c in scaled.coeffs)
     for p in range(7, min(place_budget, max(tgt_norms)) + 1, 8):
-        if tgt_prod % p == 0 and scaled_prod % p and is_prime(p):
+        if tgt_prod % p == 0 and scaled_prod % p:
             witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness

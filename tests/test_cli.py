@@ -415,8 +415,14 @@ class TestHarness:
             [],
             ["words", "canon", "--word"],
             ["forms", "family", "--n", "4", "--count", "2", "--format", "xml"],
+            # argparse reads a value starting with "-" as an option, so the
+            # word needs --word=-2,-1
+            ["words", "canon", "--word", "-2,-1"],
         ],
-        ids=["bad-int", "missing-option", "unknown-command", "empty", "missing-value", "bad-choice"],
+        ids=[
+            "bad-int", "missing-option", "unknown-command", "empty", "missing-value", "bad-choice",
+            "negative-first-letter",
+        ],
     )
     def test_usage_error_is_one_json_line(self, capsys, argv):
         # argparse words its messages differently across Python versions,

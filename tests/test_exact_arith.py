@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,19 +18,16 @@ from hybridcensus.exact_arith import (
     square_test_f,
     valuation_f,
 )
+from hybridcensus.quadform import certify_noncommensurable, generate_family, verify_certificate
 
 SPLIT_PRIMES = [7, 17, 23, 31, 41, 47, 71, 73, 79, 89, 97, 103]
 
-# every place below 200: both roots of 2 at p = 1 (mod 8), the residue root at p = 7 (mod 8)
+# every place below 200: both roots of 2 at each split prime
 PLACES = [
-    place
+    LocalPlace(p, c)
     for p in range(7, 200, 2)
     if p % 8 in (1, 7) and is_prime(p)
-    for place in (
-        (LocalPlace.at(p),)
-        if p % 8 == 7
-        else (LocalPlace(p, sqrt_mod_p(2, p)), LocalPlace(p, p - sqrt_mod_p(2, p)))
-    )
+    for c in (sqrt_mod_p(2, p), p - sqrt_mod_p(2, p))
 ]
 
 
@@ -184,13 +182,24 @@ class TestLocalPlace:
             LocalPlace(17, 5)
 
     def test_wrong_root_rejected_at_7_mod_8(self):
-        with pytest.raises(ValueError):
-            LocalPlace(7, 3)
+        # the place accepts the non-residue root, but certificates record the
+        # root `LocalPlace.at` picks and verify refuses one naming the other
+        forms = generate_family(4, 2)
+        cert = certify_noncommensurable(forms[0], forms[1])
+        p, c = cert.witness["p"], cert.witness["sqrt2_root"]
+        assert p % 8 == 7 and LocalPlace.at(p) == LocalPlace(p, c)
+        assert not LocalPlace(p, p - c).root_is_qr
+        other = dataclasses.replace(cert, witness=dict(cert.witness, sqrt2_root=p - c))
+        assert verify_certificate(cert)
+        assert not verify_certificate(other)
 
     def test_other_root_allowed_at_1_mod_8(self):
-        place = LocalPlace(17, 11)
-        assert place.sqrt2_root == 11
-        assert place.root_is_qr == (legendre(11, 17) == 1)
+        # either root names a place, at p = 7 (mod 8) the non-residue one too
+        for p, c in ((17, 11), (7, 3)):
+            place = LocalPlace(p, c)
+            assert place.sqrt2_root == c
+            assert place.root_is_qr == (legendre(c, p) == 1)
+        assert not LocalPlace(7, 3).root_is_qr
 
 
 class TestHensel:
@@ -282,7 +291,7 @@ class TestValuationF:
         # seen through the other root has the valuation of x itself.
         rng = random.Random(4)
         for _ in range(200):
-            p = rng.choice([17, 41, 73, 89, 97])  # both roots constructible
+            p = rng.choice([7, 17, 23, 41, 47, 73, 89, 97])
             place = LocalPlace.at(p)
             other = LocalPlace(p, p - place.sqrt2_root)
             x = Sqrt2Int(rng.randint(-3000, 3000), rng.randint(-3000, 3000))

@@ -17,7 +17,6 @@ from hybridcensus.exact_arith import (
     valuation_f,
 )
 from hybridcensus.quadform import (
-    SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
     _local_certificate,
@@ -252,7 +251,7 @@ class TestScaledInvariants:
             place = LocalPlace.at(rng.choice([7, 17, 23, 31]))
             p = place.p
             u0 = smallest_nonresidue(p)
-            lam_label = rng.choice(SQUARE_CLASSES)
+            lam_label = rng.choice(list(dict(_square_classes(p))))
             lam = LocalValue(1 if "p" in lam_label else 0, u0 if "u" in lam_label else 1)
             # multiply lambda by a random square of Q_p
             s_val = 2 * rng.randrange(0, 3)
@@ -262,6 +261,11 @@ class TestScaledInvariants:
             got2 = local_invariants(Q23, place, lam_sq)
             assert got1 == got2
             assert lam == dict(_square_classes(p))[lam_label]
+
+    @pytest.mark.parametrize("scale", [LocalValue(0, 7), LocalValue(1, 14)])
+    def test_scale_not_a_unit_rejected(self, scale):
+        with pytest.raises(ValueError, match="not a unit mod 7"):
+            local_invariants(Q23, LocalPlace.at(7), scale)
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_witness_rows_are_scaled_invariants(self, n):
@@ -283,7 +287,7 @@ class TestCertify:
         assert cert is not None and cert.kind == "LocalWitness"
         assert cert.witness["p"] == 23
         assert cert.witness["direction"] == "forward"
-        assert [row["lambda"] for row in cert.witness["rows"]] == list(SQUARE_CLASSES)
+        assert [row["lambda"] for row in cert.witness["rows"]] == list(dict(_square_classes(23)))
         assert all(row["mismatches"] for row in cert.witness["rows"])
 
     def test_reverse_pair_and_swapped_record(self):
@@ -579,7 +583,8 @@ def refused_after(doc, path, value):
 
 
 # Edits that pass at a parser coercing types and a verifier comparing field
-# by field, each applied to the forward n = 4 certificate.
+# by field, and roots of 2 other than the one `LocalPlace.at` picks, each
+# applied to the forward n = 4 certificate (witness at p = 7, root 4).
 NAMED_EDITS = {
     "u as a fraction": (("form", "coeffs", 0, "u"), 7.9),
     "u as a number": (("form", "coeffs", 0, "u"), 7),
@@ -587,6 +592,9 @@ NAMED_EDITS = {
     "direction deleted": (("witness", "direction"), DELETE),
     "extra top-level key": (("note",), "hand-edited"),
     "empty swapped record": (("swapped",), {}),
+    "root p - c": (("witness", "sqrt2_root"), 3),
+    "root c + p": (("witness", "sqrt2_root"), 11),
+    "non-root": (("witness", "sqrt2_root"), 5),
 }
 
 

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 from hybridcensus.exact_arith import LocalValue, Sqrt2Int, legendre
 from hybridcensus.quadform import (
-    SQUARE_CLASSES,
     DiagonalForm,
     NoncommCertificate,
+    _square_classes,
     _table,
     certify_noncommensurable,
     generate_family,
@@ -119,7 +119,7 @@ def assert_witness_layout(witness, dim):
     target = witness["target"]
     assert list(target) == ["invariants", "coeffs_local", "symbols"]
     assert_table_layout(target, p, dim)
-    assert [row["lambda"] for row in witness["rows"]] == list(SQUARE_CLASSES)
+    assert [row["lambda"] for row in witness["rows"]] == list(dict(_square_classes(p)))
     for row in witness["rows"]:
         assert list(row) == ["lambda", "invariants", "mismatches", "coeffs_local", "symbols"]
         assert_table_layout(row, p, dim)
