@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .gluing import CyclicWord, multinomial_lower_bound, necklace_count
 
@@ -22,6 +22,7 @@ __all__ = [
     "liminf_check",
     "render_log_scientific",
     "table_to_csv",
+    "table_to_json",
     "theorem_table",
     "volume_of",
 ]
@@ -162,10 +163,28 @@ def theorem_table(
     return rows
 
 
+def _render_last_first(rows: list, render: Callable) -> list:
+    """render(row) for every row, called from the last row back and returned
+    in row order.
+
+    Counts grow with m, so the last row holds a table's largest count, and a
+    table past the interpreter's int-to-str digit limit raises its ValueError
+    on the first render instead of after every smaller row.  Every row is
+    still rendered, so an over-limit field in an earlier row fails as well.
+    """
+    out = [render(row) for row in reversed(rows)]
+    out.reverse()
+    return out
+
+
+def table_to_json(rows: list[CensusRow]) -> list[dict]:
+    """The rows as the `rows` list of the census command's JSON output."""
+    return _render_last_first(rows, CensusRow.to_json)
+
+
 def table_to_csv(rows: list[CensusRow]) -> str:
-    lines = [",".join(_ROW_FIELDS)]
-    lines += [",".join(map(str, row._fields())) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines = _render_last_first(rows, lambda row: ",".join(map(str, row._fields())))
+    return "\n".join([",".join(_ROW_FIELDS), *lines]) + "\n"
 
 
 def lcom_lower_bound(v: Fraction, K: Fraction, V: Fraction) -> int:

@@ -215,21 +215,22 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         "status": "ok",
         "r": args.r,
         "m_max": args.m_max,
-        "rows": [row.to_json() for row in rows],
+        "rows": census_mod.table_to_json(rows),
     }
     if liminf is not None:
         payload["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
         if args.K is not None:
-            payload["lcom"] = [
-                {
+
+            def lcom_row(row: census_mod.CensusRow) -> dict:
+                volume = row.volume.numeric_total
+                bound = census_mod.lcom_lower_bound(volume, K, V)
+                return {
                     "m": row.m,
-                    "volume": doc["volume"]["total"],
-                    "lower_bound": str(
-                        census_mod.lcom_lower_bound(row.volume.numeric_total, K, V)
-                    ),
+                    "volume": census_mod._frac_str(volume),
+                    "lower_bound": str(bound),
                 }
-                for row, doc in zip(rows, payload["rows"])
-            ]
+
+            payload["lcom"] = census_mod._render_last_first(rows, lcom_row)
     return 0, payload
 
 

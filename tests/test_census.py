@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from factorial_oracle import burnside_count, multinomial_bound
 
+from hybridcensus import census
 from hybridcensus.census import (
     CensusRow,
     asymptotic_log,
@@ -12,6 +14,7 @@ from hybridcensus.census import (
     liminf_check,
     render_log_scientific,
     table_to_csv,
+    table_to_json,
     theorem_table,
     volume_of,
 )
@@ -207,3 +210,40 @@ class TestCsv:
             obj = row.to_json()
             assert sorted(obj) == sorted(keys + ["volume"])
             assert line.split(",") == [str(obj[k]) for k in keys]
+
+
+class TestRenderOrder:
+    """Rows are rendered from the last back; the output is in row order."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("m_max", [0, 1, 7, 64])
+    @pytest.mark.parametrize("with_volumes", [False, True])
+    def test_same_output_as_forward_rendering(self, r, m_max, with_volumes):
+        volumes = {k: Fraction(k, 2) for k in range(1, r + 1)} if with_volumes else None
+        rows = theorem_table(r, m_max, volumes)
+        assert table_to_json(rows) == [row.to_json() for row in rows]
+        header, *lines = table_to_csv(rows).rstrip("\n").split("\n")
+        assert header == "m,a_m,pow2,multinomial_bound,asymptotic,ratio"
+        assert [int(line.split(",")[0]) for line in lines] == list(range(1, m_max + 1))
+        assert lines == [",".join(map(str, row._fields())) for row in rows]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str limit"
+    )
+    @pytest.mark.parametrize("render", [table_to_json, table_to_csv])
+    def test_over_limit_table_fails_on_first_render(self, monkeypatch, render):
+        # a_600 for r = 8 is past the 4,300-digit limit, so the last row fails
+        # before any row's asymptotic column is rendered
+        rows = theorem_table(8, 600)
+        calls = []
+        monkeypatch.setattr(
+            census, "render_log_scientific", lambda x: calls.append(x) or render_log_scientific(x)
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                render(rows)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert calls == []

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hybridcensus import cli, exact_arith
+from hybridcensus.census import theorem_table
 from hybridcensus.cli import main
 from hybridcensus.exact_arith import Sqrt2Int
 from hybridcensus.gluing import necklace_count
@@ -304,6 +306,29 @@ class TestWords:
         assert "Traceback" not in err
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """Run the block under the given int-to-str digit limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def over_limit_message() -> str:
+    """The interpreter's own error for str() of an int past the current limit."""
+    with pytest.raises(ValueError) as excinfo:
+        str(10 ** sys.get_int_max_str_digits())
+    return str(excinfo.value)
+
+
 class TestCensus:
     def test_rows_match_oracle(self, capsys):
         code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "8")
@@ -399,6 +424,55 @@ class TestCensus:
             capsys, "census", "--r", "2", "--m-max", "4", "--volumes", str(vols)
         )
         assert code == 2 and "missing piece 2" in payload["message"]
+
+    # r = 8 rows pass the 4,300-digit limit at m = 598: at m = 597 the longest
+    # field has exactly 4,300 digits, and a_598 has 4,305
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_last_row_within_limit(self, capsys, fmt):
+        with int_digit_limit(4300):
+            code, out, _ = run(capsys, "census", "--r", "8", "--m-max", "597", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert len(json.loads(out)["rows"]) == 597
+        else:
+            assert out.count("\n") == 598
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_first_row_past_limit(self, capsys, fmt):
+        with int_digit_limit(4300):
+            message = over_limit_message()
+            code, out, err = run(capsys, "census", "--r", "8", "--m-max", "598", "--format", fmt)
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"status": "error", "message": message}
+        note, error = err.splitlines()
+        assert note.startswith("note: asymptotic column is ")
+        assert error == f"error: {message}"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_earlier_row_wider_than_last(self, fmt):
+        # under a 641-digit limit the last row of the r = 2 table to m = 1071
+        # renders, but row 1069's multinomial numerator has 642 digits: the
+        # command still exits 2 with the stdout forward rendering gives
+        rows = theorem_table(2, 1071)
+        with int_digit_limit(641):
+            rows[-1].to_json()
+            with pytest.raises(ValueError) as excinfo:
+                for row in rows:
+                    row.to_json()
+        expected = json.dumps({"status": "error", "message": str(excinfo.value)}, sort_keys=True)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [
+            sys.executable, "-X", "int_max_str_digits=641", "-m", "hybridcensus.cli",
+            "census", "--r", "2", "--m-max", "1071", "--format", fmt,
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == expected + "\n"
+        assert "Traceback" not in done.stderr
 
 
 class TestHarness:
