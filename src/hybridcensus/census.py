@@ -167,10 +167,12 @@ def _render_last_first(rows: list, render: Callable) -> list:
     """render(row) for every row, called from the last row back and returned
     in row order.
 
-    Counts grow with m, so the last row holds a table's largest count, and a
-    table past the interpreter's int-to-str digit limit raises its ValueError
-    on the first render instead of after every smaller row.  Every row is
-    still rendered, so an over-limit field in an earlier row fails as well.
+    The last row normally holds a table's widest rendered field, so a table
+    past the interpreter's int-to-str digit limit usually raises its
+    ValueError on the first render instead of after every row below the
+    limit.  Every row is still rendered, so an over-limit field in an earlier
+    row (a multinomial numerator wider than any field of the last row) fails
+    as well.
     """
     out = [render(row) for row in reversed(rows)]
     out.reverse()

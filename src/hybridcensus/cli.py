@@ -220,17 +220,16 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
     if liminf is not None:
         payload["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
         if args.K is not None:
-
-            def lcom_row(row: census_mod.CensusRow) -> dict:
-                volume = row.volume.numeric_total
-                bound = census_mod.lcom_lower_bound(volume, K, V)
-                return {
+            payload["lcom"] = [
+                {
                     "m": row.m,
-                    "volume": census_mod._frac_str(volume),
-                    "lower_bound": str(bound),
+                    "volume": doc["volume"]["total"],
+                    "lower_bound": str(
+                        census_mod.lcom_lower_bound(row.volume.numeric_total, K, V)
+                    ),
                 }
-
-            payload["lcom"] = census_mod._render_last_first(rows, lcom_row)
+                for row, doc in zip(rows, payload["rows"])
+            ]
     return 0, payload
 
 

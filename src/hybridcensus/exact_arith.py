@@ -254,18 +254,7 @@ class LocalPlace:
         c = sqrt_mod_p(2, p)
         if c is None:
             raise ValueError(f"invalid place: 2 is not a square mod {p}")
-        # sqrt_mod_p has tested p for primality, and c is a root of 2 by construction
-        return cls._unchecked(p, c)
-
-    @classmethod
-    def _unchecked(cls, p: int, sqrt2_root: int) -> "LocalPlace":
-        """A place whose prime and root the library already knows are valid,
-        stored without a second primality test."""
-        place = cls.__new__(cls)
-        fields = place.__dict__
-        fields["p"] = p
-        fields["sqrt2_root"] = sqrt2_root
-        return place
+        return cls(p, c)
 
 
 def hensel_lift_sqrt2(place: LocalPlace, k: int) -> int:

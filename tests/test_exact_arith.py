@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from hybridcensus import exact_arith
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -181,22 +180,6 @@ class TestLocalPlace:
                 LocalPlace(13, c)
         with pytest.raises(ValueError):
             LocalPlace(17, 5)
-
-    def test_one_primality_test_per_place(self, monkeypatch):
-        # sqrt_mod_p tests p at p = 1 (mod 8) and __post_init__ at p = 7 (mod 8);
-        # neither place is tested twice
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return is_prime(n)
-
-        monkeypatch.setattr(exact_arith, "is_prime", counted)
-        for p, root in ((17, 6), (23, 18)):
-            calls.clear()
-            place = LocalPlace.at(p)
-            assert calls == [p]
-            assert place == LocalPlace(p, root) and hash(place) == hash(LocalPlace(p, root))
 
     @pytest.mark.parametrize(
         "p, message",
