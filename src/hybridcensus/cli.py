@@ -4,7 +4,8 @@ Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
 parse error.  Each handler returns (exit code, payload); `main` writes a
-str payload (CSV) as it is and prints any other payload as JSON.
+str payload (CSV, or the words commands' JSON, see `_words_json`) as it
+is and prints any other payload as JSON.
 """
 
 from __future__ import annotations
@@ -64,6 +65,38 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
         if volumes[k] <= 0:
             raise ValueError(f"piece volume v{k} must be positive")
     return volumes
+
+
+class _Names(dict):
+    """Decimal strings of ints, each made on its first lookup."""
+
+    def __missing__(self, x: int) -> str:
+        self[x] = name = str(x)
+        return name
+
+
+def _words_json(payload: dict) -> str:
+    """`json.dumps(payload, sort_keys=True) + "\n"`, for a payload whose tuple
+    values are words and whose list values are lists of words.
+
+    `json.dumps` converts every letter of a word to decimal; here each
+    distinct letter is converted once, into a table the words are joined
+    from.  Keys and the other values still go through `json.dumps`.
+    """
+    names = _Names()
+
+    def word(w: tuple[int, ...]) -> str:
+        return "[" + ", ".join(map(names.__getitem__, w)) + "]"
+
+    def value(v: object) -> str:
+        if isinstance(v, tuple):
+            return word(v)
+        if isinstance(v, list):
+            return "[" + ", ".join(map(word, v)) + "]"
+        return json.dumps(v)
+
+    fields = (f"{json.dumps(k)}: {value(v)}" for k, v in sorted(payload.items()))
+    return "{" + ", ".join(fields) + "}\n"
 
 
 # ---------------------------------------------------------------- handlers
@@ -138,12 +171,9 @@ def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, object]:
 def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     canon, shift = gluing.canonical_rotation(w)
-    return 0, {
-        "status": "ok",
-        "word": w.letters,
-        "canonical": canon.letters,
-        "shift": shift,
-    }
+    return 0, _words_json(
+        {"status": "ok", "word": w.letters, "canonical": canon.letters, "shift": shift}
+    )
 
 
 def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
@@ -157,36 +187,42 @@ def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
     ok, shift = gluing.same_class(alpha, beta)
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")
-    return 0, {
-        "status": "ok",
-        "alpha": alpha.letters,
-        "beta": beta.letters,
-        "commensurable": ok,
-        "shift": shift,
-    }
+    return 0, _words_json(
+        {
+            "status": "ok",
+            "alpha": alpha.letters,
+            "beta": beta.letters,
+            "commensurable": ok,
+            "shift": shift,
+        }
+    )
 
 
 def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, object]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     report = gluing.dihedral_stabilizer(w)
-    return 0, {
-        "status": "ok",
-        "word": w.letters,
-        "rotation_order": report.rotation_order,
-        "reflection_exists": report.reflection_exists,
-        "dihedral_order": report.dihedral_order,
-    }
+    return 0, _words_json(
+        {
+            "status": "ok",
+            "word": w.letters,
+            "rotation_order": report.rotation_order,
+            "reflection_exists": report.reflection_exists,
+            "dihedral_order": report.dihedral_order,
+        }
+    )
 
 
 def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, object]:
     classes = gluing.enumerate_classes(args.r, args.m, args.cap)
-    return 0, {
-        "status": "ok",
-        "r": args.r,
-        "m": args.m,
-        "count": len(classes),
-        "classes": [w.letters for w in classes],
-    }
+    return 0, _words_json(
+        {
+            "status": "ok",
+            "r": args.r,
+            "m": args.m,
+            "count": len(classes),
+            "classes": [w.letters for w in classes],
+        }
+    )
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:

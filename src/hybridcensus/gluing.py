@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 __all__ = [
+    "CLASS_LIMIT",
     "CyclicWord",
     "StabilizerReport",
     "brute_force_class_count",
@@ -93,15 +94,18 @@ class CyclicWord:
         """Parse a comma-separated word like "2,1,1"; r defaults to the largest
         letter, or 1 when no letter is positive, so that the error names a letter.
 
-        `int` gives exact ints, so only the range is checked, over the set of
-        distinct letters; the letters are scanned in order only to name the
-        first one out of range.
+        Each distinct token is read once with `int`, which gives exact ints,
+        and the letters are looked up from those reads; so only the range is
+        checked, over the distinct letters.  The letters are scanned in order
+        only to name the first one out of range.
         """
+        tokens = text.split(",")
         try:
-            letters = tuple(map(int, text.split(",")))
+            value = {token: int(token) for token in set(tokens)}
         except ValueError:
             raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
-        distinct = set(letters)
+        letters = tuple(map(value.__getitem__, tokens))
+        distinct = value.values()
         if r is None:
             r = max(max(distinct), 1)
         _check_alphabet(r)
@@ -335,9 +339,13 @@ def _necklaces(a: list[int], left: list[int], t: int, p: int, out: list) -> None
             left[j] += 1
 
 
+CLASS_LIMIT = 10**6
+
+
 def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     """One canonical representative per rotation class of fixed-content words,
-    in lexicographic order.  Refuses word lengths above the cap.
+    in lexicographic order.  Refuses word lengths above the cap, and inputs
+    with more than CLASS_LIMIT classes.
 
     The canonical representatives are the necklaces (words that are their
     own least rotation).  `_necklaces` (Sawada, TCS 301, 2003) builds them
@@ -349,6 +357,14 @@ def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     recursing, leaving the other half to the caller's frames.  Under the
     default limit of 1000 that refuses rm > 500, where there are more than
     2^480 classes, too many to list anyway.
+
+    Below that depth `necklace_count(r, m)` is checked against CLASS_LIMIT
+    before recursing, since the recursion emits every class: under the
+    default cap, (20, 1) asks for 19! classes, which would be appended
+    until the process is killed.  The limit, 10^6, lies well above the
+    benchmark's largest list, 11,352 classes at (5, 2); the largest it
+    lets through with rm <= 20, 953,056 classes at (3, 6), is nineteen
+    times the 50,452 of (3, 5), which take 0.4 s to list and print.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
@@ -359,6 +375,9 @@ def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
     depth = sys.getrecursionlimit() // 2
     if r * m > depth:
         raise ValueError(f"word length r*m = {r * m} exceeds the recursion depth {depth}")
+    count = necklace_count(r, m)
+    if count > CLASS_LIMIT:
+        raise ValueError(f"class limit exceeded: {count} classes > {CLASS_LIMIT}")
     out: list[tuple[int, ...]] = []
     _necklaces([0, 1] + [0] * (r * m - 1), [0, m - 1] + [m] * (r - 1), 2, 1, out)
     return [CyclicWord._unchecked(word, r) for word in out]

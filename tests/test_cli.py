@@ -13,7 +13,15 @@ from hybridcensus import cli, exact_arith
 from hybridcensus.census import theorem_table
 from hybridcensus.cli import main
 from hybridcensus.exact_arith import Sqrt2Int
-from hybridcensus.gluing import necklace_count
+from hybridcensus.gluing import (
+    CLASS_LIMIT,
+    CyclicWord,
+    canonical_rotation,
+    dihedral_stabilizer,
+    enumerate_classes,
+    necklace_count,
+    same_class,
+)
 from hybridcensus.quadform import (
     DiagonalForm,
     NoncommCertificate,
@@ -304,6 +312,94 @@ class TestWords:
         )
         assert code == 2 and "recursion depth" in payload["message"]
         assert "Traceback" not in err
+
+    def test_enumerate_past_class_limit_ends(self):
+        # 19! classes under the default cap: refused from the count alone
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "hybridcensus.cli", "words", "enumerate", "--r", "20", "--m", "1"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout.count("\n") == 1
+        assert json.loads(done.stdout) == {
+            "status": "error",
+            "message": f"class limit exceeded: {necklace_count(20, 1)} classes > {CLASS_LIMIT}",
+        }
+        assert "Traceback" not in done.stderr
+
+
+# (text, r): multi-digit letters up to 12, and letters past sys.maxunicode,
+# which the word searches encode by rank
+BIG = sys.maxunicode + 1
+WORD_TEXTS = [
+    ("10,2,10", 12),
+    ("12,1,11,3,12,1,11,3", None),
+    (",".join(str(1 + 5 * i % 12) for i in range(60)), 12),
+    (" 2, +1,01,2", 3),
+    (f"{BIG},5,{BIG + 1},{BIG}", None),
+    (f"{BIG},{BIG + 2},{BIG},{BIG + 2}", BIG + 2),
+]
+
+
+def r_option(r):
+    return [] if r is None else ["--r", str(r)]
+
+
+class TestWordsBytes:
+    """Each words command prints exactly `json.dumps(payload, sort_keys=True)`
+    and a newline, for the payload built here from the library's answers."""
+
+    @staticmethod
+    def assert_prints(capsys, payload, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("text, r", WORD_TEXTS)
+    def test_canon(self, capsys, text, r):
+        w = CyclicWord.parse(text, r)
+        canon, shift = canonical_rotation(w)
+        payload = {"status": "ok", "word": w.letters, "canonical": canon.letters, "shift": shift}
+        self.assert_prints(capsys, payload, "words", "canon", "--word", text, *r_option(r))
+
+    @pytest.mark.parametrize("text, r", WORD_TEXTS)
+    def test_stabilizer(self, capsys, text, r):
+        w = CyclicWord.parse(text, r)
+        report = dihedral_stabilizer(w)
+        payload = {
+            "status": "ok",
+            "word": w.letters,
+            "rotation_order": report.rotation_order,
+            "reflection_exists": report.reflection_exists,
+            "dihedral_order": report.dihedral_order,
+        }
+        self.assert_prints(capsys, payload, "words", "stabilizer", "--word", text, *r_option(r))
+
+    @pytest.mark.parametrize("text, r", WORD_TEXTS)
+    @pytest.mark.parametrize("partner", ["rotation", "reversal"])
+    def test_commensurable(self, capsys, text, r, partner):
+        alpha = CyclicWord.parse(text, r)
+        beta = alpha.rotate(1) if partner == "rotation" else CyclicWord(alpha.letters[::-1], alpha.r)
+        ok, shift = same_class(alpha, beta)
+        payload = {
+            "status": "ok",
+            "alpha": alpha.letters,
+            "beta": beta.letters,
+            "commensurable": ok,
+            "shift": shift,
+        }
+        argv = ["words", "commensurable", "--alpha", text, "--beta", str(beta), *r_option(r)]
+        self.assert_prints(capsys, payload, *argv)
+
+    @pytest.mark.parametrize("r, m", [(1, 1), (1, 12), (2, 2), (3, 4), (5, 2)])
+    def test_enumerate(self, capsys, r, m):
+        classes = enumerate_classes(r, m)
+        payload = {
+            "status": "ok",
+            "r": r,
+            "m": m,
+            "count": len(classes),
+            "classes": [w.letters for w in classes],
+        }
+        self.assert_prints(capsys, payload, "words", "enumerate", "--r", str(r), "--m", str(m))
 
 
 needs_digit_limit = pytest.mark.skipif(

@@ -7,7 +7,9 @@ from itertools import chain, takewhile
 import pytest
 from factorial_oracle import burnside_count, multinomial, multinomial_bound
 
+from hybridcensus import gluing
 from hybridcensus.gluing import (
+    CLASS_LIMIT,
     CyclicWord,
     _fixed_content_words,
     brute_force_class_count,
@@ -435,6 +437,20 @@ class TestEnumerateClasses:
         # more letters: refused before the recursion runs past the stack
         with pytest.raises(ValueError, match="recursion depth"):
             enumerate_classes(2, 600, cap=2000)
+
+    def test_class_limit(self, monkeypatch):
+        # refused from necklace_count, before the recursion emits a class
+        for r, m in ((20, 1), (4, 5), (6, 3)):
+            message = f"class limit exceeded: {necklace_count(r, m)} classes > {CLASS_LIMIT}"
+            with pytest.raises(ValueError) as exc:
+                enumerate_classes(r, m)
+            assert str(exc.value) == message
+        # the limit is inclusive: (5, 2) has 11,352 classes
+        monkeypatch.setattr(gluing, "CLASS_LIMIT", 11352)
+        assert len(enumerate_classes(5, 2)) == 11352
+        monkeypatch.setattr(gluing, "CLASS_LIMIT", 11351)
+        with pytest.raises(ValueError, match="class limit"):
+            enumerate_classes(5, 2)
 
     def test_full_default_cap(self):
         # rm = 20 is the documented working scale for enumeration

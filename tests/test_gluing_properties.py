@@ -8,8 +8,10 @@ without the letter check (rotations, canonical forms, primitive roots,
 enumerated classes and parsed words) must equal, and hash like, the word
 the checked constructor builds from the same letters, and `parse` must
 accept and refuse exactly as that constructor does, also for a bool or
-float alphabet size.  Examples are bounded and derandomized so that the
-suite stays fast and repeatable.
+float alphabet size.  Over tokens that `int` reads or refuses, `parse`,
+which reads each distinct token once, must give the letters or the
+error of reading every token in turn.  Examples are bounded and
+derandomized so that the suite stays fast and repeatable.
 """
 
 import sys
@@ -171,3 +173,31 @@ def test_parse_refuses_as_the_checked_constructor(letters, r):
     derived = max(max(letters), 1)  # a derived alphabet is never empty
     expected = outcome(lambda: CyclicWord(tuple(letters), derived if r is None else r))
     assert outcome(lambda: CyclicWord.parse(text, r)) == expected
+
+
+def read_each_token(text, r):
+    """The outcome of the letter-by-letter parse: `int` on every token in
+    order, then the checked constructor over the alphabet parse uses."""
+    try:
+        letters = tuple(map(int, text.split(",")))
+    except ValueError:
+        return f"malformed word {text!r}: expected comma-separated integers"
+    return outcome(lambda: CyclicWord(letters, max(max(letters), 1) if r is None else r).letters)
+
+
+# tokens int reads or refuses: signs, spaces, underscores, zeros and
+# leading zeros, a non-ASCII digit, empty tokens, and tokens at and past
+# the 4,300-digit int-to-str limit
+TOKENS = st.one_of(
+    st.integers(-3, 13).map(str),
+    st.sampled_from(
+        [" 2", "3 ", " +1 ", "+4", "-0", "-2", "0", "00", "007", "1_0", "_1", "1__0", "١", "٣",
+         "", " ", "x", "1.0", "0" * 4299 + "2", "0" * 4300 + "2", "1" * 4301]
+    ),
+)
+
+
+@PROPERTY
+@given(st.lists(TOKENS, min_size=1, max_size=8).map(",".join), st.none() | st.integers(-1, 13))
+def test_parse_reads_as_each_token_read(text, r):
+    assert outcome(lambda: CyclicWord.parse(text, r).letters) == read_each_token(text, r)
