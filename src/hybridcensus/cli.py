@@ -56,6 +56,8 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
     for k, v in raw.items():
         try:
             piece = int(k)
+            if str(piece) != k:  # "01", " 1" and "+1" would overwrite piece 1
+                raise ValueError
         except ValueError:
             raise ValueError(f"volume file {path} has key {k!r}: expected a piece number") from None
         volumes[piece] = _parse_fraction(str(v))
@@ -177,13 +179,10 @@ def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
-    alpha = gluing.CyclicWord.parse(args.alpha, args.r)
-    beta = gluing.CyclicWord.parse(args.beta, args.r)
-    if alpha.r != beta.r:
-        # --r omitted: read both words over the larger implied alphabet, which
-        # holds the letters parse has already checked
-        r = max(alpha.r, beta.r)
-        alpha, beta = (gluing.CyclicWord._unchecked(w.letters, r) for w in (alpha, beta))
+    texts, r = (args.alpha, args.beta), args.r
+    if r is None:  # read both words over the larger implied alphabet
+        r = max(gluing.CyclicWord.parse(text).r for text in texts)
+    alpha, beta = (gluing.CyclicWord.parse(text, r) for text in texts)
     ok, shift = gluing.same_class(alpha, beta)
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")
@@ -213,7 +212,7 @@ def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, object]:
-    classes = gluing.enumerate_classes(args.r, args.m, args.cap)
+    classes = gluing.enumerate_classes(args.r, args.m)
     return 0, _words_json(
         {
             "status": "ok",
@@ -237,6 +236,10 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         if K <= 0 or V <= 0:
             raise ValueError("K and V must be positive")
     volumes = _load_volumes(args.volumes, args.r) if args.volumes else None
+    # 2^m passes the digit limit from m = (10**limit).bit_length(), which exceeds 3 * limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.m_max > 3 * limit and args.m_max >= (10**limit).bit_length():
+        raise ValueError(f"m_max = {args.m_max}: 2^m_max passes the {limit}-digit limit")
     rows = census_mod.theorem_table(args.r, args.m_max, volumes)
     _diag(
         "note: asymptotic column is m^-1 (2*pi*m)^-((r-1)/2) r^(rm-1); "
@@ -335,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = words_sub.add_parser("enumerate", help="canonical class representatives, fixed content")
     enum.add_argument("--r", type=int, required=True)
     enum.add_argument("--m", type=int, required=True)
-    enum.add_argument("--cap", type=int, default=20, help="maximum word length r*m")
     enum.set_defaults(handler=_cmd_words_enumerate)
 
     census = sub.add_parser("census", help="exact count table with bounds and asymptotics")

@@ -339,39 +339,34 @@ def _necklaces(a: list[int], left: list[int], t: int, p: int, out: list) -> None
             left[j] += 1
 
 
+# the most classes enumerate_classes lists, checked after the recursion depth
 CLASS_LIMIT = 10**6
 
 
-def enumerate_classes(r: int, m: int, cap: int = 20) -> list[CyclicWord]:
+def enumerate_classes(r: int, m: int) -> list[CyclicWord]:
     """One canonical representative per rotation class of fixed-content words,
-    in lexicographic order.  Refuses word lengths above the cap, and inputs
-    with more than CLASS_LIMIT classes.
+    in lexicographic order.  Refuses words longer than half the recursion
+    limit, and inputs with more than CLASS_LIMIT classes.
 
     The canonical representatives are the necklaces (words that are their
     own least rotation).  `_necklaces` (Sawada, TCS 301, 2003) builds them
     in lexicographic order through prenecklace prefixes only, never
     visiting the other words; a necklace starts with its least letter, so
-    it starts after a leading 1.  For r = 1 the one class is written down
-    directly, since the recursion is as deep as the word.  For r >= 2 words
-    longer than half the interpreter's recursion limit are refused before
-    recursing, leaving the other half to the caller's frames.  Under the
-    default limit of 1000 that refuses rm > 500, where there are more than
-    2^480 classes, too many to list anyway.
+    it starts after a leading 1.  The recursion is as deep as the word, so
+    words longer than half the interpreter's recursion limit are refused
+    first, leaving the other half to the caller's frames: rm > 500 under
+    the default limit of 1000, where r >= 2 gives over 2^480 classes.
 
     Below that depth `necklace_count(r, m)` is checked against CLASS_LIMIT
-    before recursing, since the recursion emits every class: under the
-    default cap, (20, 1) asks for 19! classes, which would be appended
-    until the process is killed.  The limit, 10^6, lies well above the
-    benchmark's largest list, 11,352 classes at (5, 2); the largest it
-    lets through with rm <= 20, 953,056 classes at (3, 6), is nineteen
-    times the 50,452 of (3, 5), which take 0.4 s to list and print.
+    before recursing, since the recursion emits every class: (20, 1) asks
+    for 19! classes, which would be appended until the process is killed.
+    The limit, 10^6, lies well above the benchmark's largest list, 11,352
+    classes at (5, 2).  The largest list it lets through, 953,056 classes
+    at (3, 6), is nineteen times the 50,452 of (3, 5), which take 0.4 s to
+    list and print.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    if r * m > cap:
-        raise ValueError(f"enumeration cap exceeded: r*m = {r * m} > {cap}")
-    if r == 1:
-        return [CyclicWord._unchecked((1,) * m, 1)]
     depth = sys.getrecursionlimit() // 2
     if r * m > depth:
         raise ValueError(f"word length r*m = {r * m} exceeds the recursion depth {depth}")

@@ -303,18 +303,30 @@ class TestWords:
         assert payload["classes"] == [[1, 1, 2, 2], [1, 2, 1, 2]]
 
     def test_enumerate_cap(self, capsys):
-        code, payload, _ = run_json(capsys, "words", "enumerate", "--r", "3", "--m", "7")
-        assert code == 2 and "cap" in payload["message"]
+        # the word length is bounded by the recursion depth, not by an option
+        code, payload, err = run_json(
+            capsys, "words", "enumerate", "--r", "2", "--m", "2", "--cap", "20"
+        )
+        assert code == 2 and payload == {
+            "status": "error",
+            "message": "unrecognized arguments: --cap 20",
+        }
+        assert err.startswith("usage:")
 
     def test_enumerate_beyond_recursion_depth(self, capsys):
-        code, payload, err = run_json(
-            capsys, "words", "enumerate", "--r", "2", "--m", "600", "--cap", "2000"
-        )
-        assert code == 2 and "recursion depth" in payload["message"]
-        assert "Traceback" not in err
+        # half the default recursion limit of 1000
+        for r, m in ((1, 501), (2, 251)):
+            code, payload, err = run_json(
+                capsys, "words", "enumerate", "--r", str(r), "--m", str(m)
+            )
+            assert code == 2 and payload == {
+                "status": "error",
+                "message": f"word length r*m = {r * m} exceeds the recursion depth 500",
+            }
+            assert "Traceback" not in err
 
     def test_enumerate_past_class_limit_ends(self):
-        # 19! classes under the default cap: refused from the count alone
+        # 19! classes: refused from the count alone
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         argv = [sys.executable, "-m", "hybridcensus.cli", "words", "enumerate", "--r", "20", "--m", "1"]
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
@@ -389,7 +401,8 @@ class TestWordsBytes:
         argv = ["words", "commensurable", "--alpha", text, "--beta", str(beta), *r_option(r)]
         self.assert_prints(capsys, payload, *argv)
 
-    @pytest.mark.parametrize("r, m", [(1, 1), (1, 12), (2, 2), (3, 4), (5, 2)])
+    # (1, 500): one letter recurses as deep as the word, half the default limit
+    @pytest.mark.parametrize("r, m", [(1, 1), (1, 12), (1, 500), (2, 2), (3, 4), (5, 2)])
     def test_enumerate(self, capsys, r, m):
         classes = enumerate_classes(r, m)
         payload = {
@@ -513,6 +526,28 @@ class TestCensus:
             "message": f"volume file {vols} has key 'x': expected a piece number",
         }
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"1": "1", "01": "5", "2": "1"}', "01"),
+            ('{"01": "5", "1": "1", "2": "1"}', "01"),
+            ('{" 1": "5", "1": "1", "2": "1"}', " 1"),
+            ('{"1": "1", "2": "1", "+1": "5"}', "+1"),
+        ],
+    )
+    def test_volume_key_alias_refused(self, capsys, tmp_path, text, key):
+        # int() reads each of these keys as piece 1; in either order one
+        # entry would silently overwrite the other
+        vols = tmp_path / "volumes.json"
+        vols.write_text(text, encoding="utf-8")
+        code, payload, _ = run_json(
+            capsys, "census", "--r", "2", "--m-max", "4", "--volumes", str(vols)
+        )
+        assert code == 2 and payload == {
+            "status": "error",
+            "message": f"volume file {vols} has key {key!r}: expected a piece number",
+        }
+
     def test_missing_volume_entry(self, capsys, tmp_path):
         vols = tmp_path / "volumes.json"
         vols.write_text('{"1": "1"}', encoding="utf-8")
@@ -568,6 +603,47 @@ class TestCensus:
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 2
         assert done.stdout == expected + "\n"
+        assert "Traceback" not in done.stderr
+
+
+    # under a 641-digit limit, 2^m has more than 641 digits from
+    # m = (10**641).bit_length() = 2,130
+    @needs_digit_limit
+    def test_pow2_past_limit_refused_before_the_table(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        with int_digit_limit(641):
+            code, out, _ = run(capsys, "census", "--r", "1", "--m-max", "2129", "--format", "csv")
+            assert code == 0 and out.count("\n") == 2130
+            monkeypatch.setattr(cli.census_mod, "theorem_table", no_table)
+            code, payload, err = run_json(capsys, "census", "--r", "1", "--m-max", "2130")
+        message = "m_max = 2130: 2^m_max passes the 641-digit limit"
+        assert code == 2 and payload == {"status": "error", "message": message}
+        assert err == f"error: {message}\n"
+
+    @needs_digit_limit
+    def test_no_digit_limit_no_refusal(self, capsys):
+        with int_digit_limit(0):
+            code, payload, _ = run_json(capsys, "census", "--r", "1", "--m-max", "3")
+        assert code == 0 and len(payload["rows"]) == 3
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_huge_m_max_ends(self, r):
+        # 10^8 rows would take hours to build, and could never render
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [
+            sys.executable, "-X", "int_max_str_digits=4300", "-m", "hybridcensus.cli",
+            "census", "--r", r, "--m-max", "100000000",
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout.count("\n") == 1
+        assert json.loads(done.stdout) == {
+            "status": "error",
+            "message": "m_max = 100000000: 2^m_max passes the 4300-digit limit",
+        }
         assert "Traceback" not in done.stderr
 
 

@@ -408,7 +408,7 @@ class TestEnumerateClasses:
 
     def test_counts_match_formula(self):
         for r, m in ((1, 6), (2, 2), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)):
-            assert len(enumerate_classes(r, m, cap=24)) == necklace_count(r, m)
+            assert len(enumerate_classes(r, m)) == necklace_count(r, m)
 
     def test_matches_permutation_filter(self):
         # the exact ordered list of least rotations among all fixed-content
@@ -418,7 +418,7 @@ class TestEnumerateClasses:
         for r, m in cases + [(2, 7), (3, 4), (4, 3)]:
             words = takewhile(lambda w: w[0] == 1, _fixed_content_words(r, m))
             expected = [w for w in words if is_least_rotation(w)]
-            got = enumerate_classes(r, m, cap=r * m)
+            got = enumerate_classes(r, m)
             assert [w.letters for w in got] == expected, (r, m)
 
     def test_representatives_are_canonical(self):
@@ -426,17 +426,22 @@ class TestEnumerateClasses:
             canon, shift = canonical_rotation(w)
             assert canon == w and shift == 0
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_classes(3, 7)
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_classes(2, 3, cap=5)
-        assert len(enumerate_classes(2, 3, cap=6)) == 4
-        # one letter: a single class, however long the word
-        assert enumerate_classes(1, 3000, cap=3000) == [CyclicWord((1,) * 3000, 1)]
-        # more letters: refused before the recursion runs past the stack
-        with pytest.raises(ValueError, match="recursion depth"):
-            enumerate_classes(2, 600, cap=2000)
+    def test_depth_and_class_limits(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            # words up to half the recursion limit are listed, one letter too
+            assert enumerate_classes(1, 500) == [CyclicWord((1,) * 500, 1)]
+            # longer words are refused before the recursion runs past the stack
+            for r, m in ((1, 501), (2, 251)):
+                with pytest.raises(ValueError, match="recursion depth 500"):
+                    enumerate_classes(r, m)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert len(enumerate_classes(2, 11)) == necklace_count(2, 11) == 32066
+        # shorter words with too many classes are refused from the count
+        with pytest.raises(ValueError, match="class limit"):
+            enumerate_classes(2, 14)
 
     def test_class_limit(self, monkeypatch):
         # refused from necklace_count, before the recursion emits a class
@@ -452,8 +457,7 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError, match="class limit"):
             enumerate_classes(5, 2)
 
-    def test_full_default_cap(self):
-        # rm = 20 is the documented working scale for enumeration
+    def test_twenty_letters(self):
         assert len(enumerate_classes(2, 10)) == necklace_count(2, 10) == 9252
 
     def test_orbit_stabilizer_accounting(self):

@@ -32,5 +32,5 @@ def sympy_classes(r, m):
 @pytest.mark.parametrize("r, m", CASES)
 def test_classes_and_count_match_sympy(r, m):
     expected = sympy_classes(r, m)
-    assert [w.letters for w in enumerate_classes(r, m, cap=12)] == expected
+    assert [w.letters for w in enumerate_classes(r, m)] == expected
     assert necklace_count(r, m) == len(expected)
