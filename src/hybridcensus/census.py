@@ -45,6 +45,15 @@ class VolumeVector:
             out["total"] = _frac_str(self.numeric_total)
         return out
 
+    def json_text(self) -> str:
+        """`json.dumps(self.to_json(), sort_keys=True)`, joined directly."""
+        # JSON sorts the count keys as strings ("10" before "2"); a '"k": m'
+        # entry sorts as its key does, since '"' sorts before '-' and digits
+        counts = ", ".join(sorted([f'"{k}": {mult}' for k, mult in self.counts.items()]))
+        total = self.numeric_total
+        tail = "" if total is None else f', "total": "{_frac_str(total)}"'
+        return f'{{"counts": {{{counts}}}, "symbolic": "{self.symbolic()}"{tail}}}'
+
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -179,20 +188,42 @@ def _render_last_first(rows: list, render: Callable) -> list:
     return out
 
 
-def table_to_json(rows: list[CensusRow]) -> list[dict]:
-    """The rows as the `rows` list of the census command's JSON output."""
-    return _render_last_first(rows, CensusRow.to_json)
+def _row_json_text(row: CensusRow) -> str:
+    """`json.dumps(row.to_json(), sort_keys=True)`, rendered in the order
+    `to_json` renders: the row's fields, then its volume.  The string fields
+    hold only digits, signs, "/", "." and "e", which JSON does not escape."""
+    m, a_m, pow2, bound, asymptotic, ratio = row._fields()
+    return (
+        f'{{"a_m": "{a_m}", "asymptotic": "{asymptotic}", "m": {m}, '
+        f'"multinomial_bound": "{bound}", "pow2": "{pow2}", "ratio": {ratio!r}, '
+        f'"volume": {row.volume.json_text()}}}'
+    )
+
+
+def table_to_json(rows: list[CensusRow]) -> str:
+    """The JSON text of the `rows` array of the census command's output:
+    `json.dumps([row.to_json() for row in rows], sort_keys=True)`."""
+    texts = _render_last_first(rows, _row_json_text)
+    if not texts:
+        return "[]"
+    # brackets on the end rows, so that the one join copies each row once
+    texts[0] = "[" + texts[0]
+    texts[-1] += "]"
+    return ", ".join(texts)
 
 
 def table_to_csv(rows: list[CensusRow]) -> str:
     lines = _render_last_first(rows, lambda row: ",".join(map(str, row._fields())))
-    return "\n".join([",".join(_ROW_FIELDS), *lines]) + "\n"
+    return "\n".join([",".join(_ROW_FIELDS), *lines, ""])
 
 
 def lcom_lower_bound(v: Fraction, K: Fraction, V: Fraction) -> int:
     """Step lower bound for the number of commensurability classes reachable
-    with volume v: 2^floor(v/K) once v >= V, else 1."""
-    v, K, V = Fraction(v), Fraction(K), Fraction(V)
+    with volume v: 2^floor(v/K) once v >= V, else 1.
+
+    v, K and V are ints or Fractions and are used as they are, so a caller
+    parses K and V once for a whole table.
+    """
     if K <= 0 or V <= 0:
         raise ValueError("K and V must be positive")
     if v < V:
@@ -206,15 +237,22 @@ def liminf_check(rows: list[CensusRow]) -> Fraction:
     floor(log2 a_m) = bit_length - 1 keeps the quotient rational while
     staying a true lower bound.  Rows carry a numeric volume only when the
     table was built with piece volumes, and every row must carry one.
+
+    A row with volume p/q has quotient (bit_length - 1) * q / p, and p > 0,
+    so two quotients compare by cross-multiplying in integers; only the
+    minimum becomes a Fraction.
     """
     if not rows:
         raise ValueError("empty table")
-    quotients = []
+    best_num, best_den = None, 1
     for row in rows:
-        denom = row.volume.numeric_total
-        if denom is None:
+        total = row.volume.numeric_total
+        if total is None:
             raise ValueError("rows lack numeric volumes")
-        if denom <= 0:
+        p, q = total.numerator, total.denominator
+        if p <= 0:
             raise ValueError("volumes must be positive")
-        quotients.append(Fraction(row.exact_count.bit_length() - 1) / denom)
-    return min(quotients)
+        num = (row.exact_count.bit_length() - 1) * q
+        if best_num is None or num * best_den < best_num * p:
+            best_num, best_den = num, p
+    return Fraction(best_num, best_den)

@@ -4,8 +4,8 @@ Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
 parse error.  Each handler returns (exit code, payload); `main` writes a
-str payload (CSV, or the words commands' JSON, see `_words_json`) as it
-is and prints any other payload as JSON.
+str payload (CSV, or the JSON text of the words and census commands, see
+`_json_object`) as it is and prints any other payload as JSON.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
                 raise ValueError
         except ValueError:
             raise ValueError(f"volume file {path} has key {k!r}: expected a piece number") from None
+        if not 1 <= piece <= r:
+            raise ValueError(f"volume file {path} has key {k!r}: expected a piece number in 1..{r}")
         volumes[piece] = _parse_fraction(str(v))
     for k in range(1, r + 1):
         if k not in volumes:
@@ -75,6 +77,22 @@ class _Names(dict):
     def __missing__(self, x: int) -> str:
         self[x] = name = str(x)
         return name
+
+
+def _json_object(fields: dict[str, str]) -> str:
+    """The JSON object whose values are the JSON texts in fields, keys sorted,
+    and a newline: `json.dumps(payload, sort_keys=True) + "\n"` for the
+    payload those texts render.
+
+    A census table's rows run to megabytes, so each value is copied once,
+    by the one join.
+    """
+    parts = []
+    for k, v in sorted(fields.items()):
+        parts += [", ", json.dumps(k), ": ", v]
+    parts[:1] = ["{"]  # the first separator, if any, becomes the brace
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def _words_json(payload: dict) -> str:
@@ -97,8 +115,7 @@ def _words_json(payload: dict) -> str:
             return "[" + ", ".join(map(word, v)) + "]"
         return json.dumps(v)
 
-    fields = (f"{json.dumps(k)}: {value(v)}" for k, v in sorted(payload.items()))
-    return "{" + ", ".join(fields) + "}\n"
+    return _json_object({k: value(v) for k, v in payload.items()})
 
 
 # ---------------------------------------------------------------- handlers
@@ -250,26 +267,27 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         if liminf is not None:
             _diag(f"liminf quotient: {liminf}")
         return 0, census_mod.table_to_csv(rows)
-    payload: dict = {
-        "status": "ok",
-        "r": args.r,
-        "m_max": args.m_max,
+    fields = {
+        "status": json.dumps("ok"),
+        "r": json.dumps(args.r),
+        "m_max": json.dumps(args.m_max),
         "rows": census_mod.table_to_json(rows),
     }
     if liminf is not None:
-        payload["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
+        fields["liminf"] = json.dumps(f"{liminf.numerator}/{liminf.denominator}")
         if args.K is not None:
-            payload["lcom"] = [
-                {
-                    "m": row.m,
-                    "volume": doc["volume"]["total"],
-                    "lower_bound": str(
-                        census_mod.lcom_lower_bound(row.volume.numeric_total, K, V)
-                    ),
-                }
-                for row, doc in zip(rows, payload["rows"])
-            ]
-    return 0, payload
+            fields["lcom"] = "[" + ", ".join(_lcom_entry(row, K, V) for row in rows) + "]"
+    return 0, _json_object(fields)
+
+
+def _lcom_entry(row: census_mod.CensusRow, K: Fraction, V: Fraction) -> str:
+    """The JSON text of one row's `lcom` entry; K and V are parsed once per table."""
+    total = row.volume.numeric_total
+    bound = census_mod.lcom_lower_bound(total, K, V)
+    return (
+        f'{{"lower_bound": "{bound}", "m": {row.m}, '
+        f'"volume": "{total.numerator}/{total.denominator}"}}'
+    )
 
 
 # ------------------------------------------------------------------ parser

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -155,10 +156,24 @@ class TestLcomBound:
             assert lcom_lower_bound(v1, K, V) <= lcom_lower_bound(v2, K, V)
 
     def test_invalid_constants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^K and V must be positive$"):
             lcom_lower_bound(Fraction(1), Fraction(0), Fraction(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^K and V must be positive$"):
             lcom_lower_bound(Fraction(1), Fraction(1), Fraction(-1))
+
+    def test_step_at_threshold(self):
+        K, V = Fraction(3, 2), Fraction(7, 2)
+        assert lcom_lower_bound(V, K, V) == 2**2
+        assert lcom_lower_bound(V - Fraction(1, 10**30), K, V) == 1
+
+    def test_K_not_dividing_v(self):
+        # floor(10/3) = 3 and floor((7/2) / (2/3)) = floor(21/4) = 5
+        assert lcom_lower_bound(Fraction(10), Fraction(3), Fraction(1)) == 2**3
+        assert lcom_lower_bound(Fraction(7, 2), Fraction(2, 3), Fraction(1)) == 2**5
+
+    def test_ints_taken_as_they_are(self):
+        assert lcom_lower_bound(10, 3, 1) == 2**3
+        assert lcom_lower_bound(10, Fraction(3), 11) == 1
 
 
 class TestLiminfCheck:
@@ -221,7 +236,7 @@ class TestRenderOrder:
     def test_same_output_as_forward_rendering(self, r, m_max, with_volumes):
         volumes = {k: Fraction(k, 2) for k in range(1, r + 1)} if with_volumes else None
         rows = theorem_table(r, m_max, volumes)
-        assert table_to_json(rows) == [row.to_json() for row in rows]
+        assert table_to_json(rows) == json.dumps([row.to_json() for row in rows], sort_keys=True)
         header, *lines = table_to_csv(rows).rstrip("\n").split("\n")
         assert header == "m,a_m,pow2,multinomial_bound,asymptotic,ratio"
         assert [int(line.split(",")[0]) for line in lines] == list(range(1, m_max + 1))

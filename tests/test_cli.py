@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,57 @@ class TestWordsBytes:
         self.assert_prints(capsys, payload, "words", "enumerate", "--r", str(r), "--m", str(m))
 
 
+class TestCensusBytes:
+    """census JSON is exactly `json.dumps(payload, sort_keys=True)` and a
+    newline, for the payload built here from `row.to_json()` dicts.  From
+    r = 10 the count keys sort as strings: "1", "10", "11", "2", ..."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 10, 12])
+    @pytest.mark.parametrize("m_max", [0, 1, 7, 64])
+    @pytest.mark.parametrize("variant", ["plain", "volumes", "K-V"])
+    def test_json(self, capsys, tmp_path, r, m_max, variant):
+        argv = ["census", "--r", str(r), "--m-max", str(m_max)]
+        volumes = None
+        if variant != "plain":
+            volumes = {k: Fraction(k % 7 + 1, k % 3 + 1) for k in range(1, r + 1)}
+            path = tmp_path / "volumes.json"
+            path.write_text(json.dumps({str(k): str(v) for k, v in volumes.items()}))
+            argv += ["--volumes", str(path)]
+        K, V = Fraction(3, 2), Fraction(7)
+        if variant == "K-V":
+            argv += ["--K", "3/2", "--V", "7"]
+        rows = theorem_table(r, m_max, volumes)
+        payload = {"status": "ok", "r": r, "m_max": m_max, "rows": [row.to_json() for row in rows]}
+        if volumes and rows:
+            totals = [row.volume.numeric_total for row in rows]
+            q = min(Fraction(row.exact_count.bit_length() - 1) / t for row, t in zip(rows, totals))
+            payload["liminf"] = f"{q.numerator}/{q.denominator}"
+            if variant == "K-V":
+                payload["lcom"] = [
+                    {"m": row.m, "volume": f"{t.numerator}/{t.denominator}",
+                     "lower_bound": str(2 ** (t // K) if t >= V else 1)}
+                    for row, t in zip(rows, totals)
+                ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_lcom_calls_the_library_once_per_row(self, capsys, tmp_path, monkeypatch):
+        # K and V are parsed once, so every call gets the same two objects
+        calls = []
+        bound = cli.census_mod.lcom_lower_bound
+        monkeypatch.setattr(
+            cli.census_mod, "lcom_lower_bound", lambda *args: calls.append(args) or bound(*args)
+        )
+        path = tmp_path / "volumes.json"
+        path.write_text('{"1": "1", "2": "3/2"}')
+        code, payload, _ = run_json(
+            capsys, "census", "--r", "2", "--m-max", "5", "--volumes", str(path), "--K", "2", "--V", "3"
+        )
+        assert code == 0 and len(payload["lcom"]) == len(calls) == 5
+        assert len({id(K) for _, K, _ in calls}) == len({id(V) for _, _, V in calls}) == 1
+        assert [v for v, _, _ in calls] == [Fraction(5 * m, 2) for m in range(1, 6)]
+
+
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
 )
@@ -547,6 +599,15 @@ class TestCensus:
             "status": "error",
             "message": f"volume file {vols} has key {key!r}: expected a piece number",
         }
+
+    @pytest.mark.parametrize("key", ["0", "-4", "3"])
+    def test_volume_key_outside_the_alphabet(self, capsys, tmp_path, key):
+        vols = tmp_path / "volumes.json"
+        vols.write_text(json.dumps({"1": "1", "2": "3/2", key: "5"}), encoding="utf-8")
+        code, out, err = run(capsys, "census", "--r", "2", "--m-max", "1", "--volumes", str(vols))
+        message = f"volume file {vols} has key {key!r}: expected a piece number in 1..2"
+        assert code == 2 and out == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert err == f"error: {message}\n"
 
     def test_missing_volume_entry(self, capsys, tmp_path):
         vols = tmp_path / "volumes.json"
