@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .gluing import CyclicWord, multinomial_lower_bound, necklace_count
@@ -46,13 +47,27 @@ class VolumeVector:
         return out
 
     def json_text(self) -> str:
-        """`json.dumps(self.to_json(), sort_keys=True)`, joined directly."""
-        # JSON sorts the count keys as strings ("10" before "2"); a '"k": m'
-        # entry sorts as its key does, since '"' sorts before '-' and digits
-        counts = ", ".join(sorted([f'"{k}": {mult}' for k, mult in self.counts.items()]))
-        total = self.numeric_total
+        """`json.dumps(self.to_json(), sort_keys=True)`, from one format call."""
+        counts, total = self.counts, self.numeric_total
         tail = "" if total is None else f', "total": "{_frac_str(total)}"'
-        return f'{{"counts": {{{counts}}}, "symbolic": "{self.symbolic()}"{tail}}}'
+        return _volume_layout(tuple(counts)).format(*counts.values(), tail)
+
+
+@lru_cache(maxsize=64)
+def _volume_layout(keys: tuple) -> str:
+    """The format string of `VolumeVector.json_text` for counts whose keys are
+    keys, in that insertion order: field i is the count of keys[i], and field
+    len(keys) is the text of the total, if any.
+
+    JSON sorts the count keys as strings ("10" before "2"), while the
+    symbolic sum lists them in numeric order, as `symbolic` does.
+    """
+    fields = [f"{{{i}}}" for i in range(len(keys) + 1)]  # "{0}", "{1}", ...
+    field = dict(zip(keys, fields))
+    counts = ", ".join([f'"{k}": {field[k]}' for k in sorted(keys, key=str)])
+    symbolic = " + ".join([f"{field[k]}*v{k}" for k in sorted(keys)])
+    # outside the fields, format prints a doubled brace as one
+    return '{{"counts": {{' + counts + '}}, "symbolic": "' + symbolic + '"' + fields[-1] + "}}"
 
 
 def _frac_str(x: Fraction) -> str:
@@ -143,33 +158,46 @@ def theorem_table(
     Stirling asymptotic (kept in log space).
 
     Rows are built in increasing m, so each row's counts extend the
-    multinomials `gluing` walked upward for the row before.
+    multinomials `gluing` walked upward for the row before.  Each row and
+    its volume are stored by `_frozen`, equal to the rows `CensusRow(...)`
+    and `VolumeVector(...)` would build.
     """
     if r < 1:
         raise ValueError("alphabet size r must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    letters = range(1, r + 1)
     unit_volume = None
     if piece_volumes is not None:
-        unit_volume = sum(
-            (_piece_volume(piece_volumes, k) for k in range(1, r + 1)), Fraction(0)
-        )
+        unit_volume = sum((_piece_volume(piece_volumes, k) for k in letters), Fraction(0))
     rows = []
     for m in range(1, m_max + 1):
+        volume = _frozen(
+            VolumeVector,
+            counts=dict.fromkeys(letters, m),
+            numeric_total=None if unit_volume is None else unit_volume * m,
+        )
         rows.append(
-            CensusRow(
+            _frozen(
+                CensusRow,
                 m=m,
                 exact_count=necklace_count(r, m),
                 power_bound=2**m,
                 multinomial_bound=multinomial_lower_bound(r, m),
                 asymptotic_log=asymptotic_log(r, m),
-                volume=VolumeVector(
-                    {k: m for k in range(1, r + 1)},
-                    None if unit_volume is None else unit_volume * m,
-                ),
+                volume=volume,
             )
         )
     return rows
+
+
+def _frozen(cls: type, **fields):
+    """An instance of the frozen dataclass cls holding fields, stored into its
+    __dict__ at once, where cls(...) would store each through
+    object.__setattr__; cls(**fields) builds an equal instance."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _render_last_first(rows: list, render: Callable) -> list:

@@ -253,10 +253,12 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         if K <= 0 or V <= 0:
             raise ValueError("K and V must be positive")
     volumes = _load_volumes(args.volumes, args.r) if args.volumes else None
-    # 2^m passes the digit limit from m = (10**limit).bit_length(), which exceeds 3 * limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.m_max > 3 * limit and args.m_max >= (10**limit).bit_length():
-        raise ValueError(f"m_max = {args.m_max}: 2^m_max passes the {limit}-digit limit")
+    _refuse_unprintable_pow2(args.m_max, "m_max = {e}: 2^m_max")
+    if args.K is not None:
+        # the bounds grow with the volume, so the last row's is the largest
+        v = args.m_max * sum(volumes.values())
+        if v >= V:
+            _refuse_unprintable_pow2(v // K, "lcom bound 2^{e}")
     rows = census_mod.theorem_table(args.r, args.m_max, volumes)
     _diag(
         "note: asymptotic column is m^-1 (2*pi*m)^-((r-1)/2) r^(rm-1); "
@@ -278,6 +280,19 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         if args.K is not None:
             fields["lcom"] = "[" + ", ".join(_lcom_entry(row, K, V) for row in rows) + "]"
     return 0, _json_object(fields)
+
+
+def _refuse_unprintable_pow2(e: int, name: str) -> None:
+    """Refuse a 2^e that could never print under the interpreter's int-to-str
+    digit limit, naming it by name with e put in; with no limit, refuse
+    nothing.
+
+    2^e passes the limit from e = (10**limit).bit_length(), which exceeds
+    3 * limit, so a small e is let through without building 10**limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and e > 3 * limit and e >= (10**limit).bit_length():
+        raise ValueError(f"{name.format(e=e)} passes the {limit}-digit limit")
 
 
 def _lcom_entry(row: census_mod.CensusRow, K: Fraction, V: Fraction) -> str:

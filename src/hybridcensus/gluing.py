@@ -12,7 +12,8 @@ the period, and reversed w in w.w.  On crafted words of about 1,100 to
 2,000 letters, such as 1^m against 1^h 2 1^(m-h-1), CPython's search
 takes a quadratic-time path: up to about 3 ms at m = 2,000, some four
 times two Duval passes.  Longer words get the linear two-way search.
-Fixed-content rotation classes are counted exactly.
+Fixed-content rotation classes are counted exactly, by Burnside's lemma
+with Euler's phi read from one totient sieve.
 
 Only `CyclicWord(...)` and `CyclicWord.parse` check letters, where a word
 comes in from outside; both refuse bool letters and an alphabet size that
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -233,17 +235,31 @@ def isometry_upper_bound(w: CyclicWord, piece_bound: int) -> int:
 # ----------------------------------------------------------------- counting
 
 
-def _totient(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+# Euler's phi(d) at index d; index 0 is unused
+_phi = array("q", [0, 1])
+
+
+def _totients(n: int) -> array:
+    """An array holding Euler's phi(d) at index d for every d <= n.
+
+    The module keeps one sieve.  When n is past its end, a sieve of at least
+    twice the length replaces it: start from phi(d) = d and, for each prime
+    p, take p's share off every multiple.  The new sieve is complete before
+    it is assigned, and an assigned array is never written again, so a
+    caller may read the one it got while another thread replaces it; two
+    threads that grow it at once at worst repeat work.
+    """
+    global _phi
+    phi = _phi
+    if n < len(phi):
+        return phi
+    size = max(n + 1, 2 * len(phi))
+    values = list(range(size))
+    for p in range(2, size):
+        if values[p] == p:  # no smaller prime divides p
+            values[p::p] = [x - x // p for x in values[p::p]]
+    _phi = phi = array("q", values)
+    return phi
 
 
 _walk_lock = threading.Lock()
@@ -276,18 +292,20 @@ def necklace_count(r: int, m: int) -> int:
 
     Burnside over the rotation group: (1/(rm)) * sum over d | m of
     phi(d) * (rm/d)! / ((m/d)!)^r, with the divisors taken in pairs
-    (d, m/d) for d up to isqrt(m).
+    (d, m/d) for d up to isqrt(m), phi read from the module's totient
+    sieve and the multinomials from its walk.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     values = _multinomials(r, m)
+    phi = _totients(m)
     total = 0
     for d in range(1, math.isqrt(m) + 1):
         if m % d == 0:
             e = m // d
-            total += _totient(d) * values[e]
+            total += phi[d] * values[e]
             if e != d:
-                total += _totient(e) * values[d]
+                total += phi[e] * values[d]
     return total // (r * m)
 
 

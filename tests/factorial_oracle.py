@@ -1,5 +1,6 @@
-"""Factorial formulas for fixed-content counts: the test oracle for the
-multinomials that `hybridcensus.gluing` walks upward."""
+"""Factorial formulas for fixed-content counts, and Euler's phi by trial
+division: the test oracles for the multinomials that `hybridcensus.gluing`
+walks upward and the totients it sieves."""
 
 import math
 from fractions import Fraction
@@ -23,3 +24,17 @@ def burnside_count(r: int, m: int) -> int:
             phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
             total += phi * multinomial(r, m // d)
     return total // (r * m)
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) by trial division."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            result -= result // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from factorial_oracle import burnside_count, multinomial_bound
 from hybridcensus import census
 from hybridcensus.census import (
     CensusRow,
+    VolumeVector,
     asymptotic_log,
     lcom_lower_bound,
     liminf_check,
@@ -108,6 +110,39 @@ class TestTheoremTable:
     def test_missing_piece_volume(self):
         with pytest.raises(ValueError, match="missing piece 2"):
             theorem_table(2, 3, {1: Fraction(1)})
+
+
+class TestRowsAsConstructed:
+    """theorem_table stores its rows without the dataclass constructors; they
+    must equal rows built through those constructors, and stay frozen."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("m_max", [0, 1, 7, 64])
+    @pytest.mark.parametrize("with_volumes", [False, True])
+    def test_rows_equal_constructed_rows(self, r, m_max, with_volumes):
+        volumes = {k: Fraction(k, 2) for k in range(1, r + 1)} if with_volumes else None
+        unit = sum(volumes.values()) if volumes else None
+        expected = [
+            CensusRow(
+                m,
+                burnside_count(r, m),
+                2**m,
+                multinomial_bound(r, m),
+                asymptotic_log(r, m),
+                VolumeVector({k: m for k in range(1, r + 1)}, None if unit is None else unit * m),
+            )
+            for m in range(1, m_max + 1)
+        ]
+        assert theorem_table(r, m_max, volumes) == expected
+
+    def test_rows_and_volumes_stay_frozen(self):
+        row = theorem_table(2, 3, UNIT_VOLUMES)[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.exact_count = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.volume.counts = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.volume.numeric_total = None
 
 
 class TestAsymptotic:

@@ -83,3 +83,15 @@ def test_liminf_refuses_at_the_same_row(entries):
 def test_volume_text_is_json_dumps(counts, total):
     volume = VolumeVector(counts, total)
     assert volume.json_text() == json.dumps(volume.to_json(), sort_keys=True)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 14).flatmap(lambda r: st.permutations(range(1, r + 1))),
+    st.lists(st.just(0) | st.integers(0, 10**100 - 1), min_size=14, max_size=14),
+    st.none() | positive,
+)
+def test_full_alphabet_volume_text_is_json_dumps(letters, counts, total):
+    # the letters 1..r in any insertion order: r >= 10 puts "10" before "2"
+    volume = VolumeVector(dict(zip(letters, counts)), total)
+    assert volume.json_text() == json.dumps(volume.to_json(), sort_keys=True)

@@ -707,6 +707,72 @@ class TestCensus:
         }
         assert "Traceback" not in done.stderr
 
+    # the last row's lcom bound is 2^floor(v/K) with v = m_max * (v1 + ... + vr);
+    # it has more than 4,300 digits from v/K = (10**4300).bit_length() = 14,285
+    @needs_digit_limit
+    def test_lcom_bound_past_limit_refused_before_the_table(self, capsys, monkeypatch, tmp_path):
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        within, past = tmp_path / "within.json", tmp_path / "past.json"
+        within.write_text('{"1": "14284"}', encoding="utf-8")
+        past.write_text('{"1": "14285"}', encoding="utf-8")
+        flags = ("census", "--r", "1", "--m-max", "1", "--K", "1", "--V", "1", "--volumes")
+        with int_digit_limit(4300):
+            code, payload, _ = run_json(capsys, *flags, str(within))
+            assert code == 0 and payload["lcom"][0]["lower_bound"] == str(2**14284)
+            monkeypatch.setattr(cli.census_mod, "theorem_table", no_table)
+            code, out, err = run(capsys, *flags, str(past))
+        message = "lcom bound 2^14285 passes the 4300-digit limit"
+        assert code == 2 and out == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert err == f"error: {message}\n"
+
+    @needs_digit_limit
+    def test_lcom_bound_from_the_last_row(self, capsys, tmp_path):
+        # m_max = 2 and v1 + v2 = 7142.5: only the last row's volume, 14,285,
+        # passes the limit, and it reaches the threshold V exactly
+        vols = tmp_path / "volumes.json"
+        vols.write_text('{"1": "7142", "2": "1/2"}', encoding="utf-8")
+        with int_digit_limit(4300):
+            code, payload, _ = run_json(
+                capsys, "census", "--r", "2", "--m-max", "2", "--volumes", str(vols),
+                "--K", "1", "--V", "14285",
+            )
+        message = "lcom bound 2^14285 passes the 4300-digit limit"
+        assert code == 2 and payload == {"status": "error", "message": message}
+
+    @needs_digit_limit
+    def test_lcom_threshold_above_the_last_volume_not_refused(self, capsys, tmp_path):
+        # V above every row's volume makes every bound 1
+        vols = tmp_path / "volumes.json"
+        vols.write_text('{"1": "1000000000"}', encoding="utf-8")
+        with int_digit_limit(4300):
+            code, payload, _ = run_json(
+                capsys, "census", "--r", "1", "--m-max", "2", "--volumes", str(vols),
+                "--K", "1", "--V", "2000000001",
+            )
+        assert code == 0
+        assert [entry["lower_bound"] for entry in payload["lcom"]] == ["1", "1"]
+
+    @needs_digit_limit
+    def test_huge_lcom_bound_ends(self, tmp_path):
+        # 2^(10^9) would take a 125 MB integer, and could never print
+        vols = tmp_path / "huge.json"
+        vols.write_text('{"1": "1000000000"}', encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [
+            sys.executable, "-X", "int_max_str_digits=4300", "-m", "hybridcensus.cli",
+            "census", "--r", "1", "--m-max", "1", "--volumes", str(vols), "--K", "1", "--V", "1",
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout.count("\n") == 1
+        assert json.loads(done.stdout) == {
+            "status": "error",
+            "message": "lcom bound 2^1000000000 passes the 4300-digit limit",
+        }
+        assert "Traceback" not in done.stderr
+
 
 class TestHarness:
     def test_unknown_command_exits_2(self, capsys):

@@ -2,10 +2,11 @@ import os
 import random
 import sys
 import threading
+from array import array
 from itertools import chain, takewhile
 
 import pytest
-from factorial_oracle import burnside_count, multinomial, multinomial_bound
+from factorial_oracle import burnside_count, multinomial, multinomial_bound, totient
 
 from hybridcensus import gluing
 from hybridcensus.gluing import (
@@ -399,6 +400,35 @@ class TestNecklaceCount:
             necklace_count(0, 3)
         with pytest.raises(ValueError):
             necklace_count(2, 0)
+
+
+class TestTotientSieve:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """The sieve as a fresh import holds it, put back after the test."""
+        monkeypatch.setattr(gluing, "_phi", array("q", [0, 1]))
+
+    def test_grown_from_cold(self, cold):
+        phi = gluing._totients(5000)
+        assert 5000 < len(phi) <= 2 * 5001
+        assert list(phi) == [0] + [totient(n) for n in range(1, len(phi))]
+
+    def test_grown_in_steps(self, cold):
+        # each growth at least doubles the sieve, so it stays below twice the
+        # largest n asked for, and a smaller n reads the sieve it already has
+        length = 2
+        for n in (1, 2, 3, 9, 64, 65, 1000, 5000):
+            phi = gluing._totients(n)
+            assert len(phi) == (length if n < length else max(n + 1, 2 * length))
+            assert len(phi) <= 2 * (n + 1)
+            length = len(phi)
+        assert list(phi) == [0] + [totient(n) for n in range(1, len(phi))]
+        assert gluing._totients(10) is phi
+
+    def test_counts_after_a_larger_m(self, cold):
+        assert necklace_count(2, 1000) == burnside_count(2, 1000)
+        for m in range(60, 0, -1):
+            assert necklace_count(3, m) == burnside_count(3, m), m
 
 
 class TestEnumerateClasses:
