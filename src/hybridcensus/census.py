@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolumeVector:
     """Letter multiplicities of a word; the rendered volume is sum m_k * v_k."""
 
@@ -108,7 +108,7 @@ def asymptotic_log(r: int, m: int) -> float:
 _ROW_FIELDS = ("m", "a_m", "pow2", "multinomial_bound", "asymptotic", "ratio")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusRow:
     m: int
     exact_count: int
@@ -158,9 +158,7 @@ def theorem_table(
     Stirling asymptotic (kept in log space).
 
     Rows are built in increasing m, so each row's counts extend the
-    multinomials `gluing` walked upward for the row before.  Each row and
-    its volume are stored by `_frozen`, equal to the rows `CensusRow(...)`
-    and `VolumeVector(...)` would build.
+    multinomials `gluing` walked upward for the row before.
     """
     if r < 1:
         raise ValueError("alphabet size r must be >= 1")
@@ -172,32 +170,20 @@ def theorem_table(
         unit_volume = sum((_piece_volume(piece_volumes, k) for k in letters), Fraction(0))
     rows = []
     for m in range(1, m_max + 1):
-        volume = _frozen(
-            VolumeVector,
-            counts=dict.fromkeys(letters, m),
-            numeric_total=None if unit_volume is None else unit_volume * m,
+        volume = VolumeVector(
+            dict.fromkeys(letters, m), None if unit_volume is None else unit_volume * m
         )
         rows.append(
-            _frozen(
-                CensusRow,
-                m=m,
-                exact_count=necklace_count(r, m),
-                power_bound=2**m,
-                multinomial_bound=multinomial_lower_bound(r, m),
-                asymptotic_log=asymptotic_log(r, m),
-                volume=volume,
+            CensusRow(
+                m,
+                necklace_count(r, m),
+                2**m,
+                multinomial_lower_bound(r, m),
+                asymptotic_log(r, m),
+                volume,
             )
         )
     return rows
-
-
-def _frozen(cls: type, **fields):
-    """An instance of the frozen dataclass cls holding fields, stored into its
-    __dict__ at once, where cls(...) would store each through
-    object.__setattr__; cls(**fields) builds an equal instance."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _render_last_first(rows: list, render: Callable) -> list:
@@ -231,13 +217,7 @@ def _row_json_text(row: CensusRow) -> str:
 def table_to_json(rows: list[CensusRow]) -> str:
     """The JSON text of the `rows` array of the census command's output:
     `json.dumps([row.to_json() for row in rows], sort_keys=True)`."""
-    texts = _render_last_first(rows, _row_json_text)
-    if not texts:
-        return "[]"
-    # brackets on the end rows, so that the one join copies each row once
-    texts[0] = "[" + texts[0]
-    texts[-1] += "]"
-    return ", ".join(texts)
+    return "[" + ", ".join(_render_last_first(rows, _row_json_text)) + "]"
 
 
 def table_to_csv(rows: list[CensusRow]) -> str:

@@ -288,11 +288,15 @@ def _refuse_unprintable_pow2(e: int, name: str) -> None:
     nothing.
 
     2^e passes the limit from e = (10**limit).bit_length(), which exceeds
-    3 * limit, so a small e is let through without building 10**limit.
+    3 * limit, so a small e is let through without building 10**limit.  An
+    e that passes the limit itself is put in by its bit length.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and e > 3 * limit and e >= (10**limit).bit_length():
-        raise ValueError(f"{name.format(e=e)} passes the {limit}-digit limit")
+    if limit and e > 3 * limit:
+        ceiling = 10**limit
+        if e >= ceiling.bit_length():
+            shown = e if e < ceiling else f"e, e of {e.bit_length()} bits,"
+            raise ValueError(f"{name.format(e=shown)} passes the {limit}-digit limit")
 
 
 def _lcom_entry(row: census_mod.CensusRow, K: Fraction, V: Fraction) -> str:

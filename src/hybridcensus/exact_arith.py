@@ -132,7 +132,7 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
 # ------------------------------------------------------------- Z[sqrt(2)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sqrt2Int:
     """u + v*sqrt(2) with arbitrary-precision integer components."""
 
@@ -216,7 +216,7 @@ def _coerce(x: Union[Sqrt2Int, int]) -> Sqrt2Int:
 # ------------------------------------------------------------ local places
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalPlace:
     """An odd prime p split in Q(sqrt(2)) together with a chosen root of 2 mod p.
 

@@ -20,7 +20,8 @@ comes in from outside; both refuse bool letters and an alphabet size that
 is not an int.  Every word the module builds itself (rotations,
 canonical forms and primitive roots of checked words, and the enumerated
 classes, whose letters are 1..r by construction) goes through
-`CyclicWord._unchecked`, which stores its letters without a second check.
+`CyclicWord._unchecked`, which skips the check and fills the word's two
+slots through their own setters.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _check_alphabet(r: object) -> None:
         raise ValueError("alphabet size r must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicWord:
     """Letters in [1, r] indexed by Z/mZ; equality of tuples is position-wise."""
 
@@ -78,9 +79,8 @@ class CyclicWord:
     def _unchecked(cls, letters: tuple[int, ...], r: int) -> "CyclicWord":
         """A word whose letters the library already knows lie in [1, r], stored as given."""
         word = cls.__new__(cls)
-        fields = word.__dict__
-        fields["letters"] = letters
-        fields["r"] = r
+        _set_letters(word, letters)
+        _set_r(word, r)
         return word
 
     @property
@@ -118,6 +118,11 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.letters)
+
+
+# the slots' own setters, which a frozen class's __setattr__ does not guard
+_set_letters = CyclicWord.letters.__set__
+_set_r = CyclicWord.r.__set__
 
 
 def _duval(letters: tuple[int, ...]) -> int:
@@ -197,7 +202,7 @@ def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]
 # -------------------------------------------------------------- stabilizers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilizerReport:
     """Rotations and reflections of Z/mZ preserving the coloring."""
 

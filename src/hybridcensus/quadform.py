@@ -55,7 +55,7 @@ __all__ = [
 # ------------------------------------------------------------------- forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagonalForm:
     """a_1 x_1^2 + ... + a_{n+1} x_{n+1}^2 with nonzero coefficients in Z[sqrt(2)]."""
 
@@ -241,7 +241,7 @@ def disc_class(q: DiagonalForm, place: LocalPlace) -> tuple[int, int]:
 # ------------------------------------------------------------- certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoncommCertificate:
     """Witness that two admissible forms are nonisometric after every scaling.
 

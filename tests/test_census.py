@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -113,8 +112,8 @@ class TestTheoremTable:
 
 
 class TestRowsAsConstructed:
-    """theorem_table stores its rows without the dataclass constructors; they
-    must equal rows built through those constructors, and stay frozen."""
+    """theorem_table's rows must equal rows built from the factorial oracle's
+    counts; test_value_classes checks that they are frozen and slotted."""
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 12])
     @pytest.mark.parametrize("m_max", [0, 1, 7, 64])
@@ -134,15 +133,6 @@ class TestRowsAsConstructed:
             for m in range(1, m_max + 1)
         ]
         assert theorem_table(r, m_max, volumes) == expected
-
-    def test_rows_and_volumes_stay_frozen(self):
-        row = theorem_table(2, 3, UNIT_VOLUMES)[-1]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            row.exact_count = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            row.volume.counts = {}
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            row.volume.numeric_total = None
 
 
 class TestAsymptotic:

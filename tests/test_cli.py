@@ -742,6 +742,23 @@ class TestCensus:
         assert code == 2 and payload == {"status": "error", "message": message}
 
     @needs_digit_limit
+    def test_unprintable_lcom_exponent_named_by_bit_length(self, capsys, tmp_path):
+        # v/K = (10^4299 - 1) * 10^4298 has 8,597 digits, so the exponent
+        # itself cannot print under the limit
+        vols = tmp_path / "volumes.json"
+        vols.write_text(json.dumps({"1": "9" * 4299}), encoding="utf-8")
+        with int_digit_limit(4300):
+            code, out, err = run(
+                capsys, "census", "--r", "1", "--m-max", "1", "--volumes", str(vols),
+                "--K", "1/1" + "0" * 4298, "--V", "1",
+            )
+        exponent = (10**4299 - 1) * 10**4298
+        message = f"lcom bound 2^e, e of {exponent.bit_length()} bits, passes the 4300-digit limit"
+        assert exponent.bit_length() == 28559
+        assert code == 2 and out == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert err == f"error: {message}\n"
+
+    @needs_digit_limit
     def test_lcom_threshold_above_the_last_volume_not_refused(self, capsys, tmp_path):
         # V above every row's volume makes every bound 1
         vols = tmp_path / "volumes.json"

@@ -4,14 +4,16 @@ The least rotation, the period, the orbit test with its smallest witness
 shift and the dihedral stabilizer are checked against scans over every
 rotation and reflection, over small letters and over letters past
 sys.maxunicode, which take the rank encoding.  Words the library builds
-without the letter check (rotations, canonical forms, primitive roots,
-enumerated classes and parsed words) must equal, and hash like, the word
-the checked constructor builds from the same letters, and `parse` must
-accept and refuse exactly as that constructor does, also for a bool or
-float alphabet size.  Over tokens that `int` reads or refuses, `parse`,
-which reads each distinct token once, must give the letters or the
-error of reading every token in turn.  Examples are bounded and
-derandomized so that the suite stays fast and repeatable.
+without the letter check (`CyclicWord._unchecked` itself, rotations,
+canonical forms, primitive roots, enumerated classes and parsed words)
+must equal the word the checked constructor builds from the same
+letters, with the same hash and repr, also over letters past
+sys.maxunicode, and `parse` must accept and refuse exactly as that
+constructor does, also for a bool or float alphabet size.  Over tokens
+that `int` reads or refuses, `parse`, which reads each distinct token
+once, must give the letters or the error of reading every token in
+turn.  Examples are bounded and derandomized so that the suite stays
+fast and repeatable.
 """
 
 import sys
@@ -55,7 +57,7 @@ def rotations(letters):
 def assert_like_checked(w, r):
     checked = CyclicWord(w.letters, r)
     assert type(w.letters) is tuple
-    assert w == checked and hash(w) == hash(checked)
+    assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
 
 
 @PROPERTY
@@ -141,9 +143,12 @@ def test_too_many_distinct_letters_are_refused():
 
 
 @PROPERTY
-@given(words(), st.integers(-100, 100))
-def test_derived_words_match_checked_words(w, s):
-    for derived in (w.rotate(s), canonical_rotation(w)[0], primitive_root(w)):
+@given(words(), st.booleans(), st.integers(-100, 100))
+def test_derived_words_match_checked_words(w, wide, s):
+    if wide:
+        w = big(w)
+    unchecked = CyclicWord._unchecked(w.letters, w.r)
+    for derived in (unchecked, w.rotate(s), canonical_rotation(w)[0], primitive_root(w)):
         assert_like_checked(derived, w.r)
     parsed = CyclicWord.parse(str(w), w.r)
     assert_like_checked(parsed, w.r)
