@@ -4,8 +4,8 @@ Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
 parse error.  Each handler returns (exit code, payload); `main` writes a
-str payload (CSV, or the JSON text of the words and census commands, see
-`_json_object`) as it is and prints any other payload as JSON.
+str payload (CSV, or the JSON text of the certify, words and census
+commands, see `_json_object`) as it is and prints any other payload as JSON.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, object]:
         _diag(f"LocalWitness at p={cert.witness['p']}")
     else:
         _diag("OddDiscWitness via nonsquare discriminant ratio")
-    return 0, {"status": "ok", "certificate": cert.to_json()}
+    return 0, _json_object({"certificate": cert.json_text(), "status": '"ok"'})
 
 
 def _refuse_non_integer(text: str) -> NoReturn:

@@ -19,6 +19,7 @@ different embeddings is refused.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -91,6 +92,12 @@ class DiagonalForm:
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
+
+    def json_text(self) -> str:
+        """`json.dumps(self.to_json(), sort_keys=True)`, joined as text; a
+        coefficient past the int-to-str digit limit raises the same ValueError."""
+        coeffs = ", ".join(f'{{"u": "{c.u}", "v": "{c.v}"}}' for c in self.coeffs)
+        return f'{{"coeffs": [{coeffs}], "n": {self.n}}}'
 
     @staticmethod
     def from_json(obj: dict) -> "DiagonalForm":
@@ -271,6 +278,26 @@ class NoncommCertificate:
             "swapped": self.swapped,
         }
 
+    def json_text(self) -> str:
+        """`json.dumps(self.to_json(), sort_keys=True)`, for a certificate that
+        `certify_noncommensurable` returns.
+
+        A LocalWitness certificate is joined as text from its witness tables:
+        its string fields (lambda, mismatches, direction) hold identifiers,
+        which JSON does not escape, and its numbers are ints, not the bools
+        `verify_certificate` also takes for 1 and 0.  An OddDiscWitness is
+        small, and its square_test keys depend on the branch, so it goes
+        through `json.dumps`.
+        """
+        if self.kind != "LocalWitness":
+            return json.dumps(self.to_json(), sort_keys=True)
+        swapped = "null" if self.swapped is None else _witness_text(self.swapped)
+        return (
+            f'{{"form": {self.form.json_text()}, "kind": "LocalWitness", "n": {self.n}, '
+            f'"other_form": {self.other_form.json_text()}, "swapped": {swapped}, '
+            f'"witness": {_witness_text(self.witness)}}}'
+        )
+
     @staticmethod
     def from_json(obj: dict) -> "NoncommCertificate":
         """Parse a certificate document; only the document `to_json` writes is
@@ -323,6 +350,36 @@ def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[
             return None
         rows.append({"lambda": lam, "invariants": inv, "mismatches": mismatches} | table)
     return {"p": p, "sqrt2_root": place.sqrt2_root, "target": target_table, "rows": rows}
+
+
+def _table_text(table: dict, row_fields: str = "") -> str:
+    """The sorted-key JSON text of a `_table` dict, with a row's lambda and
+    mismatches fields, given as text, between invariants and symbols."""
+    local = [f'{{"unit": {c["unit"]}, "val": {c["val"]}}}' for c in table["coeffs_local"]]
+    symbols = [
+        f'{{"i": {s["i"]}, "j": {s["j"]}, "symbol": {s["symbol"]}}}' for s in table["symbols"]
+    ]
+    inv = table["invariants"]
+    return (
+        f'{{"coeffs_local": [{", ".join(local)}], "invariants": {{"dim": {inv["dim"]}, '
+        f'"disc_unit_qr": {inv["disc_unit_qr"]}, "disc_val_parity": {inv["disc_val_parity"]}, '
+        f'"hasse": {inv["hasse"]}}}, {row_fields}"symbols": [{", ".join(symbols)}]}}'
+    )
+
+
+def _witness_text(witness: dict) -> str:
+    """The sorted-key JSON text of a `_witness_at` dict, with its direction if
+    it has one."""
+    rows = []
+    for row in witness["rows"]:
+        mismatches = '", "'.join(row["mismatches"])  # a row has at least one
+        fields = f'"lambda": "{row["lambda"]}", "mismatches": ["{mismatches}"], '
+        rows.append(_table_text(row, fields))
+    direction = f'"direction": "{witness["direction"]}", ' if "direction" in witness else ""
+    return (
+        f'{{{direction}"p": {witness["p"]}, "rows": [{", ".join(rows)}], '
+        f'"sqrt2_root": {witness["sqrt2_root"]}, "target": {_table_text(witness["target"])}}}'
+    )
 
 
 def _scan_local_witness(

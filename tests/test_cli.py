@@ -28,6 +28,7 @@ from hybridcensus.quadform import (
     NoncommCertificate,
     _odd_certificate,
     _witness_at,
+    certify_noncommensurable,
     verify_certificate,
 )
 
@@ -414,6 +415,39 @@ class TestWordsBytes:
             "classes": [w.letters for w in classes],
         }
         self.assert_prints(capsys, payload, "words", "enumerate", "--r", str(r), "--m", str(m))
+
+
+class TestCertifyBytes:
+    """forms certify prints exactly `json.dumps(payload, sort_keys=True)` and a
+    newline, for the payload built here from the library's certificate, and
+    one diagnostic line on stderr."""
+
+    @pytest.mark.parametrize(
+        "n, a, a2",
+        [
+            (3, 3, 5), (3, 7, 2), (4, 7, 23), (4, 31, 7), (8, 7, 23), (8, 31, 23),
+            (12, 7, 23), (12, 31, 7),
+            (4, 1, 7),  # reverse direction, swapped null
+            (4, 7, 1),  # forward, swapped null
+        ],
+    )
+    def test_certificate(self, capsys, n, a, a2):
+        cert = certify_noncommensurable(DiagonalForm.standard(a, n), DiagonalForm.standard(a2, n))
+        code, out, err = run(
+            capsys, "forms", "certify", "--n", str(n), "--a", str(a), "--a-prime", str(a2)
+        )
+        payload = {"status": "ok", "certificate": cert.to_json()}
+        assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
+        if cert.kind == "LocalWitness":
+            assert err == f"LocalWitness at p={cert.witness['p']}\n"
+        else:
+            assert err == "OddDiscWitness via nonsquare discriminant ratio\n"
+
+    def test_no_witness(self, capsys):
+        code, out, err = run(capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "7")
+        payload = {"status": "no-witness", "n": 4, "a": 7, "a_prime": 7, "max_prime": 1000}
+        assert code == 1 and out == json.dumps(payload, sort_keys=True) + "\n"
+        assert err == "no witness for a=7, a'=7 within prime budget 1000\n"
 
 
 class TestCensusBytes:

@@ -9,7 +9,9 @@ coefficient, symbols in pair order, invariants that recompute from the
 local values, rows in square-class order and key order fixed, so that
 `json.dumps` without `sort_keys` writes the same bytes.  The tables, read
 from one Legendre symbol per coefficient, agree symbol by symbol with
-`hilbert_symbol`.
+`hilbert_symbol`.  `json_text` prints exactly the bytes
+`json.dumps(to_json(), sort_keys=True)` would, for forms and for every
+kind and shape of certificate.
 Examples are bounded and derandomized so that the suite stays fast and
 repeatable.
 """
@@ -17,6 +19,7 @@ repeatable.
 import itertools
 import json
 import math
+import sys
 
 import pytest
 
@@ -24,7 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcensus.exact_arith import LocalValue, Sqrt2Int, legendre
+from hybridcensus.exact_arith import SQRT2, LocalValue, Sqrt2Int, legendre
 from hybridcensus.quadform import (
     DiagonalForm,
     NoncommCertificate,
@@ -40,7 +43,7 @@ from hybridcensus.quadform import (
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 DIMENSIONS = (3, 4, 8)
 EVEN_DIMENSIONS = (4, 8)
-FAMILIES = {n: generate_family(n, 16) for n in DIMENSIONS}
+FAMILIES = {n: generate_family(n, 16) for n in DIMENSIONS + (12,)}
 INVARIANTS = ["dim", "disc_val_parity", "disc_unit_qr", "hasse"]
 
 
@@ -165,3 +168,89 @@ def test_table_matches_hilbert_symbol(p, data):
     inv = table["invariants"]
     assert inv["hasse"] == math.prod(symbols)
     assert inv["disc_unit_qr"] == legendre(math.prod(c.unit for c in local) % p, p)
+
+
+def assert_json_text(cert):
+    assert cert.json_text() == json.dumps(cert.to_json(), sort_keys=True)
+
+
+@PROPERTY
+@given(family_pairs((3, 4, 8, 12)))
+def test_family_certificate_json_text(pair):
+    q, q2 = pair
+    assert_json_text(certify_noncommensurable(q, q2, q.n))
+
+
+@PROPERTY
+@given(admissible_pairs((2, 4, 6, 8)))
+def test_random_admissible_certificate_json_text(pair):
+    q, q2 = pair
+    cert = certify_noncommensurable(q, q2, q.n, place_budget=200)
+    if cert is not None:
+        assert_json_text(cert)
+
+
+@pytest.mark.parametrize(
+    "a, a2, direction, has_swapped",
+    [(7, 23, "forward", True), (7, 1, "forward", False), (1, 7, "reverse", False)],
+)
+def test_json_text_of_each_witness_shape(a, a2, direction, has_swapped):
+    cert = certify_noncommensurable(DiagonalForm.standard(a, 4), DiagonalForm.standard(a2, 4))
+    assert cert.witness["direction"] == direction
+    assert (cert.swapped is not None) == has_swapped
+    assert_json_text(cert)
+
+
+@st.composite
+def odd_disc_pairs(draw):
+    """Odd-n pairs whose leading coefficients c and t c, t not a square,
+    differ by a non-square of square norm: c rational gives the square
+    test's "rational" branch, c with a sqrt(2) part the "mixed" one."""
+    branch = draw(st.sampled_from(["rational", "mixed"]))
+    n = draw(st.sampled_from([3, 5]))
+    c = draw(coefficient(True).filter(lambda c: c.v))
+    if branch == "rational":
+        c = Sqrt2Int(c.u)
+    t = draw(st.sampled_from([3, 5, 6, 7, 11, 13]))
+    forms = [DiagonalForm((lead,) + (Sqrt2Int(1),) * (n - 1) + (-SQRT2,)) for lead in (c, c * t)]
+    return branch, forms
+
+
+@PROPERTY
+@given(odd_disc_pairs())
+def test_odd_disc_certificate_json_text(case):
+    branch, (q, q2) = case
+    cert = certify_noncommensurable(q, q2)
+    assert cert.kind == "OddDiscWitness"
+    assert cert.witness["square_test"]["branch"] == branch
+    assert_json_text(cert)
+
+
+component = st.one_of(st.integers(-3, 3), st.integers(-(10**60), 10**60))
+
+
+@PROPERTY
+@given(st.lists(st.builds(Sqrt2Int, component, component).filter(bool), min_size=3, max_size=8))
+def test_form_json_text(coeffs):
+    form = DiagonalForm(tuple(coeffs))
+    assert form.json_text() == json.dumps(form.to_json(), sort_keys=True)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+@pytest.mark.parametrize("component", ["u", "v"])
+def test_form_json_text_refuses_what_to_json_refuses(component):
+    huge = 10**4300  # 4,301 digits, one past the default limit
+    c = Sqrt2Int(huge, 1) if component == "u" else Sqrt2Int(1, huge)
+    form = DiagonalForm((c, Sqrt2Int(1), -SQRT2))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as by_to_json:
+            form.to_json()
+        with pytest.raises(ValueError) as by_text:
+            form.json_text()
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(by_text.value) == str(by_to_json.value)
