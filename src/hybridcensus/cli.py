@@ -3,9 +3,9 @@
 Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
-parse error.  Each handler returns (exit code, payload); `main` writes a
-str payload (CSV, or the JSON text of the certify, words and census
-commands, see `_json_object`) as it is and prints any other payload as JSON.
+parse error.  Each handler returns (exit code, stdout text): CSV, or one
+JSON object from `_json_object`, which also writes the error payload; `main`
+writes that text as it is.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
     return volumes
 
 
+_dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(v, sort_keys=True)
+
+
 class _Names(dict):
     """Decimal strings of ints, each made on its first lookup."""
 
@@ -79,49 +82,44 @@ class _Names(dict):
         return name
 
 
-def _json_object(fields: dict[str, str]) -> str:
-    """The JSON object whose values are the JSON texts in fields, keys sorted,
-    and a newline: `json.dumps(payload, sort_keys=True) + "\n"` for the
-    payload those texts render.
+def _json_object(values: dict, **texts: str) -> str:
+    """`json.dumps(payload, sort_keys=True) + "\n"`, for the payload that holds
+    the plain values in values and the values whose JSON texts are in texts.
 
-    A census table's rows run to megabytes, so each value is copied once,
-    by the one join.
+    A census table's rows run to megabytes, so a text is copied once, by the
+    one join; each plain value goes through `json.dumps(v, sort_keys=True)`.
     """
     parts = []
-    for k, v in sorted(fields.items()):
-        parts += [", ", json.dumps(k), ": ", v]
+    for k, v in sorted(({k: _dumps(v) for k, v in values.items()} | texts).items()):
+        parts += [", ", _dumps(k), ": ", v]
     parts[:1] = ["{"]  # the first separator, if any, becomes the brace
     parts.append("}\n")
     return "".join(parts)
 
 
-def _words_json(payload: dict) -> str:
-    """`json.dumps(payload, sort_keys=True) + "\n"`, for a payload whose tuple
-    values are words and whose list values are lists of words.
+def _words_json(values: dict, **words: tuple | list) -> str:
+    """`_json_object(values, ...)` with the words given as keywords, each
+    a word (a tuple of letters) or a list of words.
 
     `json.dumps` converts every letter of a word to decimal; here each
     distinct letter is converted once, into a table the words are joined
-    from.  Keys and the other values still go through `json.dumps`.
+    from.
     """
     names = _Names()
 
     def word(w: tuple[int, ...]) -> str:
         return "[" + ", ".join(map(names.__getitem__, w)) + "]"
 
-    def value(v: object) -> str:
-        if isinstance(v, tuple):
-            return word(v)
-        if isinstance(v, list):
-            return "[" + ", ".join(map(word, v)) + "]"
-        return json.dumps(v)
+    def text(v: tuple | list) -> str:
+        return word(v) if isinstance(v, tuple) else "[" + ", ".join(map(word, v)) + "]"
 
-    return _json_object({k: value(v) for k, v in payload.items()})
+    return _json_object(values, **{k: text(v) for k, v in words.items()})
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_forms_family(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_forms_family(args: argparse.Namespace) -> tuple[int, str]:
     forms = quadform.generate_family(args.n, args.count)
     entries = []
     for idx, form in enumerate(forms):
@@ -145,10 +143,10 @@ def _cmd_forms_family(args: argparse.Namespace) -> tuple[int, object]:
                 f"{e['signatures'][0]},{e['signatures'][1]}"
             )
         return 0, "\n".join(lines) + "\n"
-    return 0, {"status": "ok", "n": args.n, "forms": entries}
+    return 0, _json_object({"status": "ok", "n": args.n, "forms": entries})
 
 
-def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, str]:
     if args.a < 1 or args.a_prime < 1:
         raise ValueError("leading coefficients must be positive integers")
     if args.max_prime < 0:
@@ -158,44 +156,46 @@ def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, object]:
     cert = quadform.certify_noncommensurable(q_a, q_a2, args.n, args.max_prime)
     if cert is None:
         _diag(f"no witness for a={args.a}, a'={args.a_prime} within prime budget {args.max_prime}")
-        return 1, {
-            "status": "no-witness",
-            "n": args.n,
-            "a": args.a,
-            "a_prime": args.a_prime,
-            "max_prime": args.max_prime,
-        }
+        return 1, _json_object(
+            {
+                "status": "no-witness",
+                "n": args.n,
+                "a": args.a,
+                "a_prime": args.a_prime,
+                "max_prime": args.max_prime,
+            }
+        )
     if cert.kind == "LocalWitness":
         _diag(f"LocalWitness at p={cert.witness['p']}")
     else:
         _diag("OddDiscWitness via nonsquare discriminant ratio")
-    return 0, _json_object({"certificate": cert.json_text(), "status": '"ok"'})
+    return 0, _json_object({"status": "ok"}, certificate=cert.json_text())
 
 
 def _refuse_non_integer(text: str) -> NoReturn:
     raise ValueError(f"certificate numbers are integers, not {text}")
 
 
-def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, str]:
     doc = _load_json(args.cert, parse_float=_refuse_non_integer, parse_constant=_refuse_non_integer)
     if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
     cert = quadform.NoncommCertificate.from_json(doc)
     if quadform.verify_certificate(cert):
         _diag("certificate re-verified from scratch")
-        return 0, {"status": "ok", "valid": True, "kind": cert.kind}
+        return 0, _json_object({"status": "ok", "valid": True, "kind": cert.kind})
     raise ValueError("certificate did not re-verify")
 
 
-def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_words_canon(args: argparse.Namespace) -> tuple[int, str]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     canon, shift = gluing.canonical_rotation(w)
     return 0, _words_json(
-        {"status": "ok", "word": w.letters, "canonical": canon.letters, "shift": shift}
+        {"status": "ok", "shift": shift}, word=w.letters, canonical=canon.letters
     )
 
 
-def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, str]:
     texts, r = (args.alpha, args.beta), args.r
     if r is None:  # read both words over the larger implied alphabet
         r = max(gluing.CyclicWord.parse(text).r for text in texts)
@@ -204,44 +204,35 @@ def _cmd_words_commensurable(args: argparse.Namespace) -> tuple[int, object]:
     if ok:
         _diag(f"same rotation orbit, witness shift p={shift}")
     return 0, _words_json(
-        {
-            "status": "ok",
-            "alpha": alpha.letters,
-            "beta": beta.letters,
-            "commensurable": ok,
-            "shift": shift,
-        }
+        {"status": "ok", "commensurable": ok, "shift": shift},
+        alpha=alpha.letters,
+        beta=beta.letters,
     )
 
 
-def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_words_stabilizer(args: argparse.Namespace) -> tuple[int, str]:
     w = gluing.CyclicWord.parse(args.word, args.r)
     report = gluing.dihedral_stabilizer(w)
     return 0, _words_json(
         {
             "status": "ok",
-            "word": w.letters,
             "rotation_order": report.rotation_order,
             "reflection_exists": report.reflection_exists,
             "dihedral_order": report.dihedral_order,
-        }
+        },
+        word=w.letters,
     )
 
 
-def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_words_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     classes = gluing.enumerate_classes(args.r, args.m)
     return 0, _words_json(
-        {
-            "status": "ok",
-            "r": args.r,
-            "m": args.m,
-            "count": len(classes),
-            "classes": [w.letters for w in classes],
-        }
+        {"status": "ok", "r": args.r, "m": args.m, "count": len(classes)},
+        classes=[w.letters for w in classes],
     )
 
 
-def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
+def _cmd_census(args: argparse.Namespace) -> tuple[int, str]:
     if args.K is not None or args.V is not None:
         if args.K is None or args.V is None:
             raise ValueError("--K and --V must be given together")
@@ -254,6 +245,9 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
             raise ValueError("K and V must be positive")
     volumes = _load_volumes(args.volumes, args.r) if args.volumes else None
     _refuse_unprintable_pow2(args.m_max, "m_max = {e}: 2^m_max")
+    limit = _digit_limit()
+    if limit and args.r > limit and args.m_max >= 1:  # (r-1)! >= limit! > 10**limit
+        raise ValueError(f"r = {args.r}: row 1's count (r-1)! passes the {limit}-digit limit")
     if args.K is not None:
         # the bounds grow with the volume, so the last row's is the largest
         v = args.m_max * sum(volumes.values())
@@ -269,17 +263,18 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, object]:
         if liminf is not None:
             _diag(f"liminf quotient: {liminf}")
         return 0, census_mod.table_to_csv(rows)
-    fields = {
-        "status": json.dumps("ok"),
-        "r": json.dumps(args.r),
-        "m_max": json.dumps(args.m_max),
-        "rows": census_mod.table_to_json(rows),
-    }
+    values = {"status": "ok", "r": args.r, "m_max": args.m_max}
+    texts = {"rows": census_mod.table_to_json(rows)}
     if liminf is not None:
-        fields["liminf"] = json.dumps(f"{liminf.numerator}/{liminf.denominator}")
+        values["liminf"] = f"{liminf.numerator}/{liminf.denominator}"
         if args.K is not None:
-            fields["lcom"] = "[" + ", ".join(_lcom_entry(row, K, V) for row in rows) + "]"
-    return 0, _json_object(fields)
+            texts["lcom"] = "[" + ", ".join(_lcom_entry(row, K, V) for row in rows) + "]"
+    return 0, _json_object(values, **texts)
+
+
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, or 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _refuse_unprintable_pow2(e: int, name: str) -> None:
@@ -291,7 +286,7 @@ def _refuse_unprintable_pow2(e: int, name: str) -> None:
     3 * limit, so a small e is let through without building 10**limit.  An
     e that passes the limit itself is put in by its bit length.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and e > 3 * limit:
         ceiling = 10**limit
         if e >= ceiling.bit_length():
@@ -392,17 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, payload = args.handler(args)
+        code, text = args.handler(args)
     except SystemExit as exc:  # --help; a usage error raises ValueError
         return int(exc.code or 0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _diag(f"error: {exc}")
-        code, payload = 2, {"status": "error", "message": str(exc)}
+        code, text = 2, _json_object({"status": "error", "message": str(exc)})
     try:
-        if isinstance(payload, str):
-            sys.stdout.write(payload)
-        else:
-            print(json.dumps(payload, sort_keys=True))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early.  Point it at devnull so that the

@@ -282,20 +282,22 @@ class NoncommCertificate:
         """`json.dumps(self.to_json(), sort_keys=True)`, for a certificate that
         `certify_noncommensurable` returns.
 
-        A LocalWitness certificate is joined as text from its witness tables:
-        its string fields (lambda, mismatches, direction) hold identifiers,
-        which JSON does not escape, and its numbers are ints, not the bools
-        `verify_certificate` also takes for 1 and 0.  An OddDiscWitness is
-        small, and its square_test keys depend on the branch, so it goes
-        through `json.dumps`.
+        Both kinds are joined as text into one envelope.  A LocalWitness's
+        witnesses are joined from their tables: their string fields (lambda,
+        mismatches, direction) hold identifiers, which JSON does not escape,
+        and their numbers are ints, not the bools `verify_certificate` also
+        takes for 1 and 0.  An OddDiscWitness's witness is small, and its
+        square_test keys depend on the branch, so it goes through `json.dumps`.
         """
-        if self.kind != "LocalWitness":
-            return json.dumps(self.to_json(), sort_keys=True)
-        swapped = "null" if self.swapped is None else _witness_text(self.swapped)
+        def body(witness: dict) -> str:
+            local = self.kind == "LocalWitness"
+            return _witness_text(witness) if local else json.dumps(witness, sort_keys=True)
+
+        swapped = "null" if self.swapped is None else body(self.swapped)
         return (
-            f'{{"form": {self.form.json_text()}, "kind": "LocalWitness", "n": {self.n}, '
+            f'{{"form": {self.form.json_text()}, "kind": "{self.kind}", "n": {self.n}, '
             f'"other_form": {self.other_form.json_text()}, "swapped": {swapped}, '
-            f'"witness": {_witness_text(self.witness)}}}'
+            f'"witness": {body(self.witness)}}}'
         )
 
     @staticmethod

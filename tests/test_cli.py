@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,10 @@ from hybridcensus.quadform import (
     _odd_certificate,
     _witness_at,
     certify_noncommensurable,
+    generate_family,
+    is_admissible,
+    is_anisotropic_certified,
+    signatures,
     verify_certificate,
 )
 
@@ -501,6 +506,49 @@ class TestCensusBytes:
         assert [v for v, _, _ in calls] == [Fraction(5 * m, 2) for m in range(1, 6)]
 
 
+class TestPayloadBytes:
+    """The family, verify and error payloads are exactly
+    `json.dumps(payload, sort_keys=True)` and a newline, for the payload built
+    here.  The volume-key refusal of an extra piece is pinned in
+    `TestCensus.test_volume_key_outside_the_alphabet`."""
+
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_family(self, capsys, n):
+        forms = generate_family(n, 3)
+        entries = [
+            {
+                "index": i,
+                "form": form.to_json(),
+                "admissible": is_admissible(form),
+                "anisotropic": is_anisotropic_certified(form),
+                "signatures": list(signatures(form)),
+            }
+            for i, form in enumerate(forms)
+        ]
+        code, out, _ = run(capsys, "forms", "family", "--n", str(n), "--count", "3")
+        payload = {"status": "ok", "n": n, "forms": entries}
+        assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("n, a, a2", [(4, 7, 23), (3, 3, 5)])
+    def test_verify(self, capsys, tmp_path, n, a, a2):
+        cert = certify_noncommensurable(DiagonalForm.standard(a, n), DiagonalForm.standard(a2, n))
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"status": "ok", "certificate": cert.to_json()}))
+        code, out, err = run(capsys, "forms", "verify", "--cert", str(path))
+        payload = {"status": "ok", "valid": True, "kind": cert.kind}
+        assert code == 0 and out == json.dumps(payload, sort_keys=True) + "\n"
+        assert err == "certificate re-verified from scratch\n"
+
+    def test_usage_error(self, capsys):
+        # argparse words the message differently across Python versions, so
+        # it is read back from the diagnostic line
+        code, out, err = run(capsys, "census", "--r", "2")
+        assert code == 2 and err.startswith("usage:")
+        message = err.splitlines()[-1].removeprefix("error: ")
+        assert "--m-max" in message
+        assert out == json.dumps({"status": "error", "message": message}, sort_keys=True) + "\n"
+
+
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
 )
@@ -721,7 +769,9 @@ class TestCensus:
     def test_no_digit_limit_no_refusal(self, capsys):
         with int_digit_limit(0):
             code, payload, _ = run_json(capsys, "census", "--r", "1", "--m-max", "3")
-        assert code == 0 and len(payload["rows"]) == 3
+            assert code == 0 and len(payload["rows"]) == 3
+            code, out, _ = run(capsys, "census", "--r", "642", "--m-max", "1", "--format", "csv")
+        assert code == 0 and out.splitlines()[1].startswith(f"1,{math.factorial(641)},")
 
     @needs_digit_limit
     @pytest.mark.parametrize("r", ["1", "2"])
@@ -740,6 +790,40 @@ class TestCensus:
             "message": "m_max = 100000000: 2^m_max passes the 4300-digit limit",
         }
         assert "Traceback" not in done.stderr
+
+    # row 1 holds a_1 = (r-1)!, which from r = limit + 1 is at least
+    # limit! > 10**limit; at r = limit the row is built and fails to print
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_alphabet_past_limit_refused_before_the_table(self, capsys, monkeypatch, fmt):
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        with int_digit_limit(641):
+            code, payload, _ = run_json(capsys, "census", "--r", "641", "--m-max", "1", "--format", fmt)
+            assert code == 2 and payload == {"status": "error", "message": over_limit_message()}
+            code, empty, _ = run(capsys, "census", "--r", "642", "--m-max", "0", "--format", fmt)
+            assert code == 0 and empty.count("\n") == 1  # the empty table
+            monkeypatch.setattr(cli.census_mod, "theorem_table", no_table)
+            code, out, err = run(capsys, "census", "--r", "642", "--m-max", "1", "--format", fmt)
+        message = "r = 642: row 1's count (r-1)! passes the 641-digit limit"
+        assert code == 2 and out == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert err == f"error: {message}\n"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("r", ["4301", "4000000"])
+    def test_huge_alphabet_ends(self, r):
+        # row 1 of r = 4,000,000 would take over a minute to build, and could never print
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [
+            sys.executable, "-X", "int_max_str_digits=4300", "-m", "hybridcensus.cli",
+            "census", "--r", r, "--m-max", "1",
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+        message = f"r = {r}: row 1's count (r-1)! passes the 4300-digit limit"
+        assert done.returncode == 2
+        assert done.stdout == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert done.stderr == f"error: {message}\n"
 
     # the last row's lcom bound is 2^floor(v/K) with v = m_max * (v1 + ... + vr);
     # it has more than 4,300 digits from v/K = (10**4300).bit_length() = 14,285
