@@ -46,18 +46,12 @@ class VolumeVector:
             out["total"] = _frac_str(self.numeric_total)
         return out
 
-    def json_text(self) -> str:
-        """`json.dumps(self.to_json(), sort_keys=True)`, from one format call."""
-        counts, total = self.counts, self.numeric_total
-        tail = "" if total is None else f', "total": "{_frac_str(total)}"'
-        return _volume_layout(tuple(counts)).format(*counts.values(), tail)
-
 
 @lru_cache(maxsize=64)
 def _volume_layout(keys: tuple) -> str:
-    """The format string of `VolumeVector.json_text` for counts whose keys are
-    keys, in that insertion order: field i is the count of keys[i], and field
-    len(keys) is the text of the total, if any.
+    """The format string of `json.dumps(volume.to_json(), sort_keys=True)` for
+    a VolumeVector whose count keys are keys, in that insertion order: field i
+    is the count of keys[i], and field len(keys) is the text of the total, if any.
 
     JSON sorts the count keys as strings ("10" before "2"), while the
     symbolic sum lists them in numeric order, as `symbolic` does.
@@ -207,10 +201,13 @@ def _row_json_text(row: CensusRow) -> str:
     `to_json` renders: the row's fields, then its volume.  The string fields
     hold only digits, signs, "/", "." and "e", which JSON does not escape."""
     m, a_m, pow2, bound, asymptotic, ratio = row._fields()
+    counts, total = row.volume.counts, row.volume.numeric_total
+    tail = "" if total is None else f', "total": "{_frac_str(total)}"'
+    volume = _volume_layout(tuple(counts)).format(*counts.values(), tail)
     return (
         f'{{"a_m": "{a_m}", "asymptotic": "{asymptotic}", "m": {m}, '
         f'"multinomial_bound": "{bound}", "pow2": "{pow2}", "ratio": {ratio!r}, '
-        f'"volume": {row.volume.json_text()}}}'
+        f'"volume": {volume}}}'
     )
 
 

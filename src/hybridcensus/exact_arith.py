@@ -246,6 +246,8 @@ class LocalPlace:
     @classmethod
     def at(cls, p: int) -> "LocalPlace":
         """The canonical place at p: QR root for p = 7 (mod 8), smaller root otherwise."""
+        if p >= _MR_BOUND:  # refused before the power, whose cost grows with p
+            raise ValueError(f"invalid place: p is not below the primality bound {_MR_BOUND}")
         if p % 8 == 7:
             # (p + 1)/4 is even, so c = 2^((p+1)/4) is a square, and
             # c^2 = 2 * 2^((p-1)/2) = 2 * (2|p) = 2, since 2 is a residue mod a

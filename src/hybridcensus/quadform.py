@@ -1,8 +1,8 @@
 """Diagonal quadratic forms over Q(sqrt(2)) and their local invariants.
 
 Provides admissibility and anisotropy checks, the local invariants of a
-form (or of a scaled form) at a split place, and machine-checkable
-noncommensurability certificates for families of such forms.  Local
+form at a split place, and machine-checkable noncommensurability
+certificates for families of such forms.  Local
 invariants have one representation: the `invariants` dict of the table a
 certificate records, with keys dim, disc_val_parity, disc_unit_qr and
 hasse.  An admissible form is hyperbolic at one real embedding of
@@ -220,18 +220,10 @@ def _table(local: list[LocalValue], p: int) -> dict:
     }
 
 
-def local_invariants(
-    q: DiagonalForm, place: LocalPlace, scale: Optional[LocalValue] = None
-) -> dict:
-    """Invariants of q (or of lambda * q when scale is the class of lambda) over
-    Q_p, as the `invariants` dict of the table a certificate records.  A
-    scale's unit digit must be a unit mod p."""
-    local = _local_values(q, place)
-    if scale is not None:
-        if scale.unit % place.p == 0:
-            raise ValueError(f"scale unit digit {scale.unit} is not a unit mod {place.p}")
-        local = _scale(local, scale, place.p)
-    return _table(local, place.p)["invariants"]
+def local_invariants(q: DiagonalForm, place: LocalPlace) -> dict:
+    """Invariants of q over Q_p, as the `invariants` dict of the table a
+    certificate records."""
+    return _table(_local_values(q, place), place.p)["invariants"]
 
 
 def hasse_witt(q: DiagonalForm, place: LocalPlace) -> int:
@@ -483,6 +475,10 @@ def verify_certificate(cert: NoncommCertificate) -> bool:
         _check_pair(q, q2)
         if q.n % 2 == 1:
             return _odd_certificate(q, q2) == cert
+        shape = [(q.dim, q.dim * (q.dim - 1) // 2)] * 5  # the target and four rows
+        for w in filter(None, (cert.witness, cert.swapped)):  # refused before any rebuild
+            if [(len(t["coeffs_local"]), len(t["symbols"])) for t in [w["target"], *w["rows"]]] != shape:
+                return False
         witness = cert.witness
         if witness["direction"] == "reverse":
             forward, swapped = None, _witness_at(q2, q, witness["p"])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridcensus import cli, exact_arith
+from hybridcensus import cli, exact_arith, quadform
 from hybridcensus.census import theorem_table
 from hybridcensus.cli import main
 from hybridcensus.exact_arith import Sqrt2Int
@@ -47,6 +47,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def hostile_document(kind: str) -> dict:
+    """The n = 4 certificate of (q_7, q_23), edited two ways whose rebuild
+    would cost seconds or hundreds of MiB: "huge-p" names a 4,000-digit
+    p = 7 (mod 8) at both places, and "wide" puts forms of n = 600 beside
+    the n = 4 witness."""
+    q_7, q_23 = DiagonalForm.standard(7, 4), DiagonalForm.standard(23, 4)
+    doc = certify_noncommensurable(q_7, q_23, 4).to_json()
+    if kind == "huge-p":
+        doc["witness"]["p"] = doc["swapped"]["p"] = 10**3999 + 7
+    else:
+        wide_7, wide_23 = DiagonalForm.standard(7, 600), DiagonalForm.standard(23, 600)
+        doc.update(n=600, form=wide_7.to_json(), other_form=wide_23.to_json())
+    return {"certificate": doc}
 
 
 class TestFormsFamily:
@@ -200,11 +215,13 @@ class TestFormsCertify:
 
     def test_verify_place_above_primality_bound(self, capsys, tmp_path, monkeypatch):
         # a true witness at the prime P = 7 (mod 8), above the bound where
-        # is_prime is exact, written with primality taken on trust
+        # is_prime is exact, written with primality taken on trust and the
+        # bound moved past P
         P = 3317044064679887385962191
         q_big, q_7 = DiagonalForm.standard(P, 4), DiagonalForm.standard(7, 4)
         with monkeypatch.context() as m:
             m.setattr(exact_arith, "is_prime", lambda n: True)
+            m.setattr(exact_arith, "_MR_BOUND", P + 1)
             witness = _witness_at(q_big, q_7, P)
         cert = NoncommCertificate("LocalWitness", q_big, q_7, dict(witness, direction="forward"))
         path = tmp_path / "cert.json"
@@ -225,6 +242,32 @@ class TestFormsCertify:
         code, verified, err = run_json(capsys, "forms", "verify", "--cert", str(path))
         assert code == 2 and verified["status"] == "error"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["huge-p", "wide"])
+    def test_hostile_document_ends(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(hostile_document(kind)), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "hybridcensus.cli", "forms", "verify", "--cert", str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+        message = {"message": "certificate did not re-verify", "status": "error"}
+        assert done.returncode == 2 and done.stdout == json.dumps(message) + "\n"
+        assert "Traceback" not in done.stderr
+
+    def test_wide_document_refused_before_any_table(self, capsys, tmp_path, monkeypatch):
+        wide, genuine = tmp_path / "wide.json", tmp_path / "cert.json"
+        wide.write_text(json.dumps(hostile_document("wide")), encoding="utf-8")
+        q_7, q_23 = DiagonalForm.standard(7, 4), DiagonalForm.standard(23, 4)
+        cert = certify_noncommensurable(q_7, q_23, 4)
+        genuine.write_text(json.dumps({"certificate": cert.to_json()}), encoding="utf-8")
+        calls = []
+        table = quadform._table
+        monkeypatch.setattr(quadform, "_table", lambda *args: calls.append(1) or table(*args))
+        code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(wide))
+        assert code == 2 and verified["status"] == "error" and not calls
+        # the counter counts: the genuine certificate rebuilds its ten tables
+        code, verified, _ = run_json(capsys, "forms", "verify", "--cert", str(genuine))
+        assert code == 0 and verified["valid"] and len(calls) == 10
 
     def test_huge_budget_ends_at_largest_norm(self):
         # no witness for this pair at any budget; the scan stops at 23^2, so a

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hybridcensus import exact_arith
+from hybridcensus import exact_arith, quadform
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -236,36 +236,43 @@ class TestSignatures:
         assert is_anisotropic_certified(neg)
 
 
+def scaled_form(q: DiagonalForm, lam: int) -> DiagonalForm:
+    """lambda * q for a rational lambda."""
+    return DiagonalForm(tuple(c * Sqrt2Int(lam) for c in q.coeffs))
+
+
+def class_representatives(p: int) -> dict:
+    """Rational representatives 1, u, p, up of the square classes of Q_p^*,
+    keyed by the labels of `_square_classes`."""
+    u = smallest_nonresidue(p)
+    return {"1": 1, "u": u, "p": p, "up": u * p}
+
+
 class TestScaledInvariants:
+    """The invariants of lambda * q are those of the form with every
+    coefficient multiplied by a rational representative of lambda's class;
+    `_witness_at` reaches the same rows by scaling local values instead."""
+
     def test_identity_class(self):
         place = LocalPlace.at(7)
-        assert local_invariants(Q23, place, LocalValue(0, 1)) == local_invariants(Q23, place)
+        assert local_invariants(scaled_form(Q23, 1), place) == local_invariants(Q23, place)
 
     def test_hand_expanded_value(self):
         # n = 4, all ten pair symbols of p * q_23 at p = 7 multiply to +1
-        assert local_invariants(Q23, LocalPlace.at(7), LocalValue(1, 1))["hasse"] == 1
+        assert local_invariants(scaled_form(Q23, 7), LocalPlace.at(7))["hasse"] == 1
 
     def test_depends_only_on_square_class(self):
         rng = random.Random(16)
         for _ in range(100):
             place = LocalPlace.at(rng.choice([7, 17, 23, 31]))
             p = place.p
-            u0 = smallest_nonresidue(p)
-            lam_label = rng.choice(list(dict(_square_classes(p))))
-            lam = LocalValue(1 if "p" in lam_label else 0, u0 if "u" in lam_label else 1)
+            lam_label, lam = rng.choice(list(class_representatives(p).items()))
             # multiply lambda by a random square of Q_p
-            s_val = 2 * rng.randrange(0, 3)
-            s_unit = rng.randrange(1, p)
-            lam_sq = LocalValue(lam.val + s_val, lam.unit * s_unit * s_unit % p)
-            got1 = local_invariants(Q23, place, lam)
-            got2 = local_invariants(Q23, place, lam_sq)
+            s = rng.randrange(1, p) * p ** rng.randrange(0, 3)
+            got1 = local_invariants(scaled_form(Q23, lam), place)
+            got2 = local_invariants(scaled_form(Q23, lam * s * s), place)
             assert got1 == got2
-            assert lam == dict(_square_classes(p))[lam_label]
-
-    @pytest.mark.parametrize("scale", [LocalValue(0, 7), LocalValue(1, 14)])
-    def test_scale_not_a_unit_rejected(self, scale):
-        with pytest.raises(ValueError, match="not a unit mod 7"):
-            local_invariants(Q23, LocalPlace.at(7), scale)
+            assert valuation_f(Sqrt2Int(lam), place) == dict(_square_classes(p))[lam_label]
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_witness_rows_are_scaled_invariants(self, n):
@@ -275,10 +282,13 @@ class TestScaledInvariants:
             assert witness is not None
             place = LocalPlace(witness["p"], witness["sqrt2_root"])
             assert witness["target"]["invariants"] == local_invariants(q, place)
-            scales = dict(_square_classes(place.p))
-            assert [row["lambda"] for row in witness["rows"]] == list(scales)
+            reps = class_representatives(place.p)
+            assert [row["lambda"] for row in witness["rows"]] == list(reps)
             for row in witness["rows"]:
-                assert row["invariants"] == local_invariants(q2, place, scales[row["lambda"]])
+                q2_lam = scaled_form(q2, reps[row["lambda"]])
+                local = [valuation_f(c, place) for c in q2_lam.coeffs]
+                assert row["coeffs_local"] == [{"val": c.val, "unit": c.unit} for c in local]
+                assert row["invariants"] == local_invariants(q2_lam, place)
 
 
 class TestCertify:
@@ -482,18 +492,40 @@ class TestVerifier:
     def test_place_above_primality_bound_rejected(self, monkeypatch):
         # P is the least prime = 7 (mod 8) above 3317044064679887385961981,
         # where is_prime stops being exact.  (q_P, q_7) has a true witness at
-        # P, built here with primality taken on trust; the verifier cannot
-        # check that P is prime, so it rejects the certificate.
+        # P, built here with primality taken on trust and the bound moved past
+        # P; the verifier cannot check that P is prime, so it rejects the
+        # certificate.
         P = 3317044064679887385962191
         q_big = DiagonalForm.standard(P, 4)
         with monkeypatch.context() as m:
             m.setattr(exact_arith, "is_prime", lambda n: True)
+            m.setattr(exact_arith, "_MR_BOUND", P + 1)
             witness = _witness_at(q_big, Q7, P)
             cert = NoncommCertificate(
                 "LocalWitness", q_big, Q7, dict(witness, direction="forward")
             )
             assert verify_certificate(cert)
         assert not verify_certificate(cert)
+
+    @pytest.mark.parametrize("which", ["witness", "swapped"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda w: w["rows"].pop(),
+            lambda w: w["rows"].append(w["rows"][0]),
+            lambda w: w["target"]["symbols"].pop(),
+            lambda w: w["rows"][2]["coeffs_local"].append({"unit": 1, "val": 0}),
+        ],
+        ids=["three-rows", "five-rows", "short-symbols", "long-coeffs"],
+    )
+    def test_misshapen_witness_refused_before_any_table(self, monkeypatch, which, edit):
+        doc = certify_noncommensurable(Q7, Q23, 4).to_json()
+        edit(doc[which])
+        cert = NoncommCertificate.from_json(doc)
+        calls = []
+        table = quadform._table
+        monkeypatch.setattr(quadform, "_table", lambda *args: calls.append(1) or table(*args))
+        assert not verify_certificate(cert) and not calls
 
     def test_place_off_7_mod_8_carries_no_witness(self):
         # every square class of scalars mismatches q_17 at p = 17 too, but
