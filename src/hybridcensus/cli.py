@@ -5,7 +5,10 @@ supported) on stdout; human diagnostics go to stderr.  Exit codes:
 0 success or witness found, 1 no witness within budget, 2 usage or
 parse error.  Each handler returns (exit code, stdout text): CSV, or one
 JSON object from `_json_object`, which also writes the error payload; `main`
-writes that text as it is.
+writes that text as it is.  A command line that starts with a command's
+words (`forms certify`, `census`, ...) is parsed by that command's own
+parser, which argparse would reach through every level above it; any
+other goes through the top parser.
 """
 
 from __future__ import annotations
@@ -318,9 +321,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command grammar, built on the first `main` call and reused: argparse
-    keeps no state between `parse_args` calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The command grammar and its leaf parsers by command words, such as
+    ("forms", "certify") or ("census",); built on the first `main` call and
+    reused, since argparse keeps no state between `parse_args` calls."""
     parser = _Parser(
         prog="hybrid-census",
         description="Exact certificates for form noncommensurability, cyclic gluing "
@@ -381,12 +385,33 @@ def _build_parser() -> argparse.ArgumentParser:
     census.add_argument("--format", choices=("json", "csv"), default="json")
     census.set_defaults(handler=_cmd_census)
 
-    return parser
+    leaves = {("census",): census}
+    for word, action in (("forms", forms_sub), ("words", words_sub)):
+        leaves |= {(word, name): leaf for name, leaf in action.choices.items()}
+    return parser, leaves
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`parse_args(argv)` of the top parser.
+
+    Nested subparsers pass every argument after the command words to the
+    leaf parser untouched, so when argv starts with a leaf's command words
+    the leaf parses the rest itself.  Anything else (help or an error at an
+    upper level, or arguments a leaf leaves over) goes through the top
+    parser, which prints the same usage and message as always.
+    """
+    parser, leaves = _build_parser()
+    for words in (argv[:1], argv[:2]):
+        leaf = leaves.get(tuple(words))
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[len(words) :])
+            return parser.parse_args(argv) if extras else args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code, text = args.handler(args)
     except SystemExit as exc:  # --help; a usage error raises ValueError
         return int(exc.code or 0)

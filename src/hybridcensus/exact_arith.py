@@ -9,6 +9,7 @@ element and its norm.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,28 @@ __all__ = [
 
 # ------------------------------------------------------------------ primes
 
-# Miller-Rabin with the first 13 prime bases is deterministic below
-# _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Miller-Rabin with the first k prime bases is deterministic below psi_k, the
+# least strong pseudoprime to all of them (OEIS A014233), so is_prime runs
+# only the first k bases for n < psi_k.  psi_13 = _MR_BOUND (Sorenson and
 # Webster, Math. Comp. 86, 2017); the first 12 alone are fooled by
-# 318665857834031151167461 = 399165290221 * 798330580441.
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_BOUND = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
@@ -57,7 +74,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:  # the first k with n < psi_k
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

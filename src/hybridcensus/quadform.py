@@ -14,6 +14,12 @@ of the other is a witness of noncommensurability.  A form and its
 conjugate (u + v*sqrt(2) -> u - v*sqrt(2) in every coefficient) give the
 same lattice through the two embeddings, so a pair hyperbolic at
 different embeddings is refused.
+
+A table's Hilbert symbols depend only on the square classes of the
+coefficients in Q_p^*, so each symbol is read from a 4 x 4 table by two
+class indices, and a witness reads the classes of each form once: the
+four scaled rows' classes follow from the scaled form's.  A witness
+prints by filling one %-template per table dimension.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Optional, Union
 
 from .exact_arith import (
@@ -152,8 +160,8 @@ def hilbert_symbol(a: LocalValue, b: LocalValue, p: int) -> int:
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over Q_p.  For
     a = p^alpha u, b = p^beta w this is
     (-1)^(alpha beta (p-1)/2) * (u|p)^beta * (w|p)^alpha.  No production
-    path calls it: `_table` reads the same formula from one Legendre symbol
-    per coefficient, and the tests use this function as its reference.
+    path calls it: `_table` reads the same formula, tabulated by square
+    class in `_SYMBOLS`, and the tests use this function as its reference.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"hilbert_symbol needs an odd prime, got {p}")
@@ -170,7 +178,8 @@ def hilbert_symbol(a: LocalValue, b: LocalValue, p: int) -> int:
 
 def _square_classes(p: int) -> Iterator[tuple[str, LocalValue]]:
     """The square classes of Q_p^* with representatives 1, u, p, up, where u is
-    the smallest non-residue, searched for once and only when first needed."""
+    the smallest non-residue, searched for once and only when first needed.
+    Their class indices (see `_classes`) are 0, 1, 2, 3 in this order."""
     yield "1", LocalValue(0, 1)
     u = smallest_nonresidue(p)
     yield "u", LocalValue(0, u)
@@ -186,38 +195,73 @@ def _scale(local: list[LocalValue], scale: LocalValue, p: int) -> list[LocalValu
     return [LocalValue(c.val + scale.val, c.unit * scale.unit % p) for c in local]
 
 
-def _table(local: list[LocalValue], p: int) -> dict:
+def _classes(local: list[LocalValue], p: int) -> list[int]:
+    """The square class of each value as an index 2 alpha + nu: alpha is the
+    valuation's parity and nu is 1 when the unit is a non-residue.  The
+    classes form the group (Z/2)^2, so the class of a product is the XOR of
+    the indices."""
+    return [2 * (c.val % 2) + (legendre(c.unit, p, validate=False) == -1) for c in local]
+
+
+def _class_symbols(both_odd: int) -> tuple[tuple[int, ...], ...]:
+    """The Hilbert symbol (a, b) for a and b in the square classes 0..3, by
+    the formula of `hilbert_symbol`, where (-1)^((p-1)/2) = both_odd."""
+
+    def symbol(a: int, b: int) -> int:
+        s = (-1 if a % 2 and b >= 2 else 1) * (-1 if b % 2 and a >= 2 else 1)
+        return s * both_odd if a >= 2 and b >= 2 else s
+
+    return tuple(tuple(symbol(a, b) for b in range(4)) for a in range(4))
+
+
+_SYMBOLS = {1: _class_symbols(1), 3: _class_symbols(-1)}  # by p mod 4
+
+
+@cache
+def _pairs(dim: int) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.combinations(range(dim), 2))
+
+
+def _table(local: list[LocalValue], p: int, classes: Optional[list[int]] = None) -> dict:
     """The invariants and Hilbert-symbol table of the diagonal form with these
     local coefficient values, as a certificate records them.
 
-    Each symbol is read from one valuation parity alpha and one Legendre
-    symbol chi per coefficient, by the formula of `hilbert_symbol`:
-    (a_i, a_j) = (-1)^(alpha_i alpha_j (p-1)/2) chi_i^alpha_j chi_j^alpha_i.
-    The units lie in [1, p-1] and the Legendre symbol is multiplicative, so
-    the discriminant's unit class is the product of the chi.
+    Each symbol (a_i, a_j) depends only on the square classes of a_i and a_j,
+    so it is read from the 4 x 4 table `_SYMBOLS` by the two class indices.
+    The classes are read from one Legendre symbol per coefficient unless
+    they are given.  The discriminant's valuation parity and unit class are
+    the sums of the alphas and of the nus mod 2, since the Legendre symbol
+    is multiplicative.
     """
-    alphas = [c.val % 2 for c in local]
-    chis = [legendre(c.unit, p, validate=False) for c in local]
-    both_odd = -1 if p % 4 == 3 else 1  # (-1)^((p-1)/2)
-    symbols = []
-    hasse = 1
-    for i, j in itertools.combinations(range(len(local)), 2):
-        s = (chis[i] if alphas[j] else 1) * (chis[j] if alphas[i] else 1)
-        if alphas[i] and alphas[j]:
-            s *= both_odd
-        symbols.append({"i": i, "j": j, "symbol": s})
-        hasse *= s
+    if classes is None:
+        classes = _classes(local, p)
+    rows = [_SYMBOLS[p % 4][k] for k in classes]
+    pairs = _pairs(len(local))
+    values = [rows[i][classes[j]] for i, j in pairs]
     invariants = {
         "dim": len(local),
-        "disc_val_parity": sum(c.val for c in local) % 2,
-        "disc_unit_qr": math.prod(chis),
-        "hasse": hasse,
+        "disc_val_parity": (classes.count(2) + classes.count(3)) % 2,
+        "disc_unit_qr": -1 if (classes.count(1) + classes.count(3)) % 2 else 1,
+        "hasse": -1 if values.count(-1) % 2 else 1,
     }
     return {
         "invariants": invariants,
-        "coeffs_local": [{"val": c.val, "unit": c.unit} for c in local],
-        "symbols": symbols,
+        "coeffs_local": [{"val": val, "unit": unit} for val, unit in local],
+        "symbols": [{"i": i, "j": j, "symbol": s} for (i, j), s in zip(pairs, values)],
     }
+
+
+def _class_tables(local: list[LocalValue], p: int) -> Iterator[tuple[str, dict]]:
+    """(lambda, the table of lambda times the form) for the square classes
+    lambda = 1, u, p, up in turn, for the form with these local values.
+
+    The Legendre symbols are read once, for the form itself: lambda's class
+    flips the parity (p, up) and the character (u, up) of every coefficient,
+    since (cs|p) = (c|p)(s|p) and u is a non-residue.
+    """
+    classes = _classes(local, p)
+    for index, (lam, scale) in enumerate(_square_classes(p)):
+        yield lam, _table(_scale(local, scale, p), p, [k ^ index for k in classes])
 
 
 def local_invariants(q: DiagonalForm, place: LocalPlace) -> dict:
@@ -311,15 +355,32 @@ class NoncommCertificate:
         return cert
 
 
-def _disc_ratio_product(q: DiagonalForm, q2: DiagonalForm) -> Sqrt2Int:
-    # disc(q) * disc(q2) represents disc(q)/disc(q2) modulo squares; when the
-    # forms differ only in the leading coefficient the shared tail cancels.
+def _disc_ratio_factors(q: DiagonalForm, q2: DiagonalForm) -> tuple[Sqrt2Int, ...]:
+    """The coefficients whose product is the discriminant ratio's representative.
+
+    disc(q) * disc(q2) represents disc(q)/disc(q2) modulo squares; when the
+    forms differ only in the leading coefficient the shared tail cancels.
+    """
     if q.coeffs[1:] == q2.coeffs[1:]:
-        return q.coeffs[0] * q2.coeffs[0]
-    prod = Sqrt2Int(1)
-    for c in q.coeffs + q2.coeffs:
-        prod = prod * c
-    return prod
+        return q.coeffs[0], q2.coeffs[0]
+    return q.coeffs + q2.coeffs
+
+
+def _disc_ratio_product(q: DiagonalForm, q2: DiagonalForm) -> Sqrt2Int:
+    return math.prod(_disc_ratio_factors(q, q2), start=Sqrt2Int(1))
+
+
+def _product_outgrows(q: DiagonalForm, q2: DiagonalForm, product: Sqrt2Int) -> bool:
+    """Whether `_disc_ratio_product(q, q2)` is certainly not product, from the
+    sizes of the factors' norms alone.
+
+    The norm is multiplicative and a nonzero norm N has |N| >= 2^(bit_length - 1),
+    so the product's norm is at least 2^s, s the sum of those exponents, while
+    |N(u + v sqrt(2))| <= u^2 + 2 v^2.  The test costs one norm per factor, where
+    the product costs time quadratic in the total size of the factors.
+    """
+    s = sum(abs(c.norm()).bit_length() - 1 for c in _disc_ratio_factors(q, q2))
+    return s >= (product.u * product.u + 2 * product.v * product.v).bit_length()
 
 
 def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[dict]:
@@ -334,10 +395,8 @@ def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[
         return None
     target_table = _table(_local_values(target, place), p)
     target_inv = target_table["invariants"]
-    scaled_local = _local_values(scaled, place)
     rows = []
-    for lam, scale in _square_classes(p):
-        table = _table(_scale(scaled_local, scale, p), p)
+    for lam, table in _class_tables(_local_values(scaled, place), p):
         inv = table["invariants"]
         mismatches = [f for f, v in inv.items() if v != target_inv[f]]
         if not mismatches:
@@ -346,19 +405,36 @@ def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[
     return {"p": p, "sqrt2_root": place.sqrt2_root, "target": target_table, "rows": rows}
 
 
+# the numbers of a table in the order its sorted-key JSON text holds them
+_UNIT_VAL = operator.itemgetter("unit", "val")
+_INVARIANTS = operator.itemgetter("dim", "disc_unit_qr", "disc_val_parity", "hasse")
+_SYMBOL = operator.itemgetter("symbol")
+
+
+@cache
+def _table_template(dim: int) -> str:
+    """The %-template `_table_text` fills for a table of dim coefficients: the
+    sorted-key JSON text with each pair (i, j) written in, a %d for every
+    other number and a %s for the row fields."""
+    local = ", ".join(['{"unit": %d, "val": %d}'] * dim)
+    symbols = ", ".join('{"i": %d, "j": %d, "symbol": %%d}' % ij for ij in _pairs(dim))
+    return (
+        '{"coeffs_local": [' + local + '], "invariants": {"dim": %d, "disc_unit_qr": %d, '
+        '"disc_val_parity": %d, "hasse": %d}, %s"symbols": [' + symbols + "]}"
+    )
+
+
 def _table_text(table: dict, row_fields: str = "") -> str:
     """The sorted-key JSON text of a `_table` dict, with a row's lambda and
     mismatches fields, given as text, between invariants and symbols."""
-    local = [f'{{"unit": {c["unit"]}, "val": {c["val"]}}}' for c in table["coeffs_local"]]
-    symbols = [
-        f'{{"i": {s["i"]}, "j": {s["j"]}, "symbol": {s["symbol"]}}}' for s in table["symbols"]
-    ]
-    inv = table["invariants"]
-    return (
-        f'{{"coeffs_local": [{", ".join(local)}], "invariants": {{"dim": {inv["dim"]}, '
-        f'"disc_unit_qr": {inv["disc_unit_qr"]}, "disc_val_parity": {inv["disc_val_parity"]}, '
-        f'"hasse": {inv["hasse"]}}}, {row_fields}"symbols": [{", ".join(symbols)}]}}'
+    local = table["coeffs_local"]
+    values = (
+        *itertools.chain.from_iterable(map(_UNIT_VAL, local)),
+        *_INVARIANTS(table["invariants"]),
+        row_fields,
+        *map(_SYMBOL, table["symbols"]),
     )
+    return _table_template(len(local)) % values
 
 
 def _witness_text(witness: dict) -> str:
@@ -474,7 +550,8 @@ def verify_certificate(cert: NoncommCertificate) -> bool:
     try:
         _check_pair(q, q2)
         if q.n % 2 == 1:
-            return _odd_certificate(q, q2) == cert
+            product = Sqrt2Int.from_json(cert.witness["ratio_product"])
+            return not _product_outgrows(q, q2, product) and _odd_certificate(q, q2) == cert
         shape = [(q.dim, q.dim * (q.dim - 1) // 2)] * 5  # the target and four rows
         for w in filter(None, (cert.witness, cert.swapped)):  # refused before any rebuild
             if [(len(t["coeffs_local"]), len(t["symbols"])) for t in [w["target"], *w["rows"]]] != shape:

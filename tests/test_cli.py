@@ -50,10 +50,22 @@ def run_json(capsys, *argv):
 
 
 def hostile_document(kind: str) -> dict:
-    """The n = 4 certificate of (q_7, q_23), edited two ways whose rebuild
-    would cost seconds or hundreds of MiB: "huge-p" names a 4,000-digit
-    p = 7 (mod 8) at both places, and "wide" puts forms of n = 600 beside
-    the n = 4 witness."""
+    """A certificate edited so that its rebuild would cost seconds or hundreds
+    of MiB.  In the n = 4 certificate of (q_7, q_23), "huge-p" names a
+    4,000-digit p = 7 (mod 8) at both places, and "wide" puts forms of
+    n = 600 beside the n = 4 witness.  "long-odd-product" puts two admissible
+    n = 301 forms of 4,000-digit coefficients, with different tails, beside
+    the n = 3 OddDiscWitness of (q_3, q_5): the product of their 604
+    coefficients would take tens of seconds."""
+    if kind == "long-odd-product":
+        big = 10**3999
+        last = Sqrt2Int(0, -big)  # negative at the embedding sqrt(2) -> +sqrt(2) only
+        forms = [
+            DiagonalForm(tuple(Sqrt2Int(big + 2 * i + k) for i in range(301)) + (last,)) for k in (1, 2)
+        ]
+        doc = certify_noncommensurable(DiagonalForm.standard(3, 3), DiagonalForm.standard(5, 3)).to_json()
+        doc.update(n=301, form=forms[0].to_json(), other_form=forms[1].to_json())
+        return {"certificate": doc}
     q_7, q_23 = DiagonalForm.standard(7, 4), DiagonalForm.standard(23, 4)
     doc = certify_noncommensurable(q_7, q_23, 4).to_json()
     if kind == "huge-p":
@@ -243,7 +255,7 @@ class TestFormsCertify:
         assert code == 2 and verified["status"] == "error"
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["huge-p", "wide"])
+    @pytest.mark.parametrize("kind", ["huge-p", "wide", "long-odd-product"])
     def test_hostile_document_ends(self, tmp_path, kind):
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(hostile_document(kind)), encoding="utf-8")
@@ -547,6 +559,58 @@ class TestCensusBytes:
         assert code == 0 and len(payload["lcom"]) == len(calls) == 5
         assert len({id(K) for _, K, _ in calls}) == len({id(V) for _, _, V in calls}) == 1
         assert [v for v, _, _ in calls] == [Fraction(5 * m, 2) for m in range(1, 6)]
+
+
+# argv that reach every level of the grammar: help, upper-level errors,
+# arguments a command leaves over, abbreviations and values joined by "="
+PARSE_CORPUS = [
+    ["-h"], ["--help"], ["-h", "forms"], ["forms", "-h"], ["forms", "--help"], ["words", "-h"],
+    ["forms", "family", "-h"], ["forms", "certify", "--help"], ["forms", "verify", "-h"],
+    ["words", "canon", "-h"], ["words", "commensurable", "--help"], ["words", "stabilizer", "-h"],
+    ["words", "enumerate", "--help"], ["census", "-h"], ["census", "--r", "2", "--help"],
+    ["forms", "certify", "--help", "extra"],
+    [], ["forms"], ["words"], ["census"], ["bogus"], ["forms", "bogus"], ["words", "census"],
+    ["--", "census", "--r", "2", "--m-max", "1"], ["census", "--", "--r", "2", "--m-max", "1"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "extra"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--bogus", "1"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--", "x"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-p", "23", "--max=50"],
+    ["forms", "certify", "--n=4", "--a=7", "--a-prime=23", "--m", "5"],
+    ["forms", "certify", "--n", "4", "--a", "-7", "--a-prime", "23"],
+    ["forms", "certify", "--n", "x", "--a", "7", "--a-prime", "23", "extra"],
+    ["forms", "family", "--n", "3", "--co", "2", "--f", "csv"],
+    ["forms", "family", "--n", "3", "--count", "2", "--format", "xml"],
+    ["forms", "verify", "--cert", "no-such-file.json"], ["forms", "verify"],
+    ["words", "canon", "--word=-2,-1"], ["words", "canon", "--word", "-2,-1"],
+    ["words", "canon", "--word", "2,1,1", "x", "y"], ["words", "canon", "--word"],
+    ["words", "commensurable", "--alpha", "1,2,2,1", "--beta", "1,1,2,2"],
+    ["words", "stabilizer", "--word", "2,1,1,1", "--r", "3"],
+    ["words", "enumerate", "--r", "2", "--m", "2", "--cap", "20"],
+    ["census", "--format", "csv", "--r", "2", "--m-max", "3"],
+    ["census", "--r", "2", "--m-max", "3", "extra"], ["census", "--r", "2"],
+]
+
+
+def top_level_parse(argv):
+    """The oracle: the whole argv parsed by the top parser, through every level."""
+    return cli._build_parser()[0].parse_args(argv)
+
+
+class TestParserDispatch:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "<empty>" for a in PARSE_CORPUS])
+    def test_same_as_top_level_parse(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse", top_level_parse)
+        assert run(capsys, *argv) == got
+
+    def test_leaf_parses_alone(self, capsys, monkeypatch):
+        # a well-formed command goes to its own parser, never the top parser's
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)
+        code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "3")
+        assert code == 0 and payload["m_max"] == 3
+        code, payload, _ = run_json(capsys, "forms", "certify", "--n=3", "--a", "3", "--a-p", "5")
+        assert code == 0 and payload["certificate"]["kind"] == "OddDiscWitness"
 
 
 class TestPayloadBytes:

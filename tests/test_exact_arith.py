@@ -1,10 +1,14 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hybridcensus.exact_arith import (
+    _MR_BASES,
+    _MR_BOUND,
+    _MR_PSI,
     SQRT2,
     LocalPlace,
     Sqrt2Int,
@@ -73,6 +77,20 @@ def brute_square_root_f(x, bound):
     return None
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > a passes the strong probable-prime test to base a:
+    with n - 1 = d 2^s and d odd, a^d = 1 or a^(d 2^r) = -1 (mod n) for some r < s."""
+    d = (n - 1) // ((n - 1) & -(n - 1))
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    while d < n - 1:
+        if x == n - 1:
+            return True
+        x, d = x * x % n, 2 * d
+    return False
+
+
 class TestPrimes:
     def test_small_table(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
@@ -94,6 +112,28 @@ class TestPrimes:
         for n in (3317044064679887385961981, 3317044064679887385962191, 2**89 - 1):
             with pytest.raises(ValueError, match="deterministic bound"):
                 is_prime(n)
+
+    def test_matches_sieve(self):
+        # the range reaches past psi_1 = 2047 and psi_2 = 1373653, so is_prime's
+        # one-, two- and three-base bands are all checked against the sieve
+        limit = 1_400_000
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for q in range(2, math.isqrt(limit) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def test_base_table(self):
+        # psi_k, the least strong pseudoprime to the first k prime bases, is
+        # one to those k bases, so the table is no larger than it should be,
+        # and is_prime runs at least k + 1 bases on it
+        assert len(_MR_PSI) == len(_MR_BASES) and _MR_PSI == tuple(sorted(_MR_PSI))
+        assert _MR_PSI[-1] == _MR_BOUND
+        for k, psi in enumerate(_MR_PSI, 1):
+            assert all(strong_probable_prime(psi, a) for a in _MR_BASES[:k]), k
+            if psi < _MR_BOUND:
+                assert not is_prime(psi), k
 
 
 class TestLegendre:

@@ -1,8 +1,9 @@
 """exact_arith against sympy's number theory, an independent implementation.
 
 Primality is compared on a full small range, on seeded random values up
-to the deterministic bound and the primes that follow them, on the
-12-base strong pseudoprime and on the values just below the bound.
+to the deterministic bound and the primes that follow them, on every band
+[psi_(k-1), psi_k) in which is_prime runs k bases, on the 12-base strong
+pseudoprime and on the values just below the bound.
 Legendre symbols, square roots (as sets of roots) and the smallest
 non-residue are compared for every odd prime below 3,000, on every
 residue for the small primes and on seeded samples for the rest.
@@ -18,6 +19,7 @@ from sympy.ntheory import sqrt_mod
 
 from hybridcensus.exact_arith import (
     _MR_BOUND,
+    _MR_PSI,
     is_prime,
     legendre,
     smallest_nonresidue,
@@ -48,6 +50,23 @@ def test_is_prime_seeded_values():
             assert is_prime(n) == sympy.isprime(n), n
             q = sympy.nextprime(n)
             assert q >= _MR_BOUND or is_prime(q), q
+
+
+def test_is_prime_in_every_band_of_bases():
+    # is_prime runs k bases on n in [psi_(k-1), psi_k); sample each band's
+    # ends, random values and the primes after them
+    rng = random.Random(2)
+    bands = zip((2,) + _MR_PSI, _MR_PSI)
+    for k, (low, high) in enumerate(bands, 1):
+        if low == high:
+            continue
+        values = [low, low + 1, high - 2, high - 1] + [rng.randrange(low, high) for _ in range(200)]
+        for n in values:
+            assert is_prime(n) == sympy.isprime(n), (k, n)
+        for n in values[4:24]:
+            q = sympy.nextprime(n)
+            assert q >= high or is_prime(q), (k, q)
+        assert not sympy.isprime(high) and (high == _MR_BOUND or not is_prime(high)), k
 
 
 def test_is_prime_twelve_base_pseudoprime():

@@ -470,6 +470,23 @@ class TestVerifier:
         restored = NoncommCertificate.from_json(json.loads(json.dumps(cert.to_json())))
         assert verify_certificate(restored)
 
+    def test_odd_witness_at_the_size_bound(self, monkeypatch):
+        # the norms 9, 25, 4^10, 4^20, 4^11, 4^21 and 2, 2 give s = 3 + 4 + 124 + 2
+        # = 133, and the product 15 * 2^63 has u^2 of 134 bits: one bit to spare
+        q = DiagonalForm((Sqrt2Int(3), Sqrt2Int(2**10), Sqrt2Int(2**20), -SQRT2))
+        q2 = DiagonalForm((Sqrt2Int(5), Sqrt2Int(2**11), Sqrt2Int(2**21), -SQRT2))
+        cert = certify_noncommensurable(q, q2, 3)
+        assert cert.witness["ratio_product"] == {"u": str(15 * 2**63), "v": "0"}
+        assert verify_certificate(cert)
+        # a recorded product one bit shorter is refused before the product is taken
+        doc = json.loads(json.dumps(cert.to_json()))
+        doc["witness"]["ratio_product"]["u"] = str(15 * 2**62)
+        calls = []
+        product = quadform._disc_ratio_product
+        monkeypatch.setattr(quadform, "_disc_ratio_product", lambda *args: calls.append(1) or product(*args))
+        assert not verify_certificate(NoncommCertificate.from_json(doc)) and not calls
+        assert verify_certificate(cert) and calls
+
     def test_tampered_symbol_rejected(self):
         cert = certify_noncommensurable(Q23, Q7, 4)
         doc = cert.to_json()

@@ -9,7 +9,10 @@ coefficient, symbols in pair order, invariants that recompute from the
 local values, rows in square-class order and key order fixed, so that
 `json.dumps` without `sort_keys` writes the same bytes.  The tables, read
 from one Legendre symbol per coefficient, agree symbol by symbol with
-`hilbert_symbol`.  `json_text` prints exactly the bytes
+`hilbert_symbol`, and the four rows derived from the form's square classes
+equal the tables of the scaled values, each with its own Legendre symbols.
+A table's text filled from the template of its dimension is the sorted-key
+`json.dumps` of it.  `json_text` prints exactly the bytes
 `json.dumps(to_json(), sort_keys=True)` would, for forms and for every
 kind and shape of certificate.
 Examples are bounded and derandomized so that the suite stays fast and
@@ -31,8 +34,11 @@ from hybridcensus.exact_arith import SQRT2, LocalValue, Sqrt2Int, legendre
 from hybridcensus.quadform import (
     DiagonalForm,
     NoncommCertificate,
+    _class_tables,
+    _scale,
     _square_classes,
     _table,
+    _table_text,
     certify_noncommensurable,
     generate_family,
     hilbert_symbol,
@@ -168,6 +174,58 @@ def test_table_matches_hilbert_symbol(p, data):
     inv = table["invariants"]
     assert inv["hasse"] == math.prod(symbols)
     assert inv["disc_unit_qr"] == legendre(math.prod(c.unit for c in local) % p, p)
+
+
+def table_oracle(local, p):
+    """`_table` as it read one Legendre symbol per coefficient of every table,
+    scaled rows included, with each symbol and invariant worked out alone."""
+    alphas = [c.val % 2 for c in local]
+    chis = [legendre(c.unit, p) for c in local]
+    both_odd = -1 if p % 4 == 3 else 1
+    symbols, hasse = [], 1
+    for i, j in itertools.combinations(range(len(local)), 2):
+        s = (chis[i] if alphas[j] else 1) * (chis[j] if alphas[i] else 1)
+        if alphas[i] and alphas[j]:
+            s *= both_odd
+        symbols.append({"i": i, "j": j, "symbol": s})
+        hasse *= s
+    invariants = {
+        "dim": len(local),
+        "disc_val_parity": sum(c.val for c in local) % 2,
+        "disc_unit_qr": math.prod(chis),
+        "hasse": hasse,
+    }
+    return {
+        "invariants": invariants,
+        "coeffs_local": [{"val": c.val, "unit": c.unit} for c in local],
+        "symbols": symbols,
+    }
+
+
+@pytest.mark.parametrize("p", [7, 23, 47, 17, 41, 73])  # (p-1)/2 odd, then even
+@PROPERTY
+@given(data=st.data())
+def test_class_tables_match_scaled_tables(p, data):
+    # each row's classes come from the unscaled form's, flipped by lambda's
+    value = st.builds(LocalValue, st.integers(0, 3), st.integers(1, p - 1))
+    local = data.draw(st.lists(value, min_size=3, max_size=10))
+    expected = [(lam, table_oracle(_scale(local, scale, p), p)) for lam, scale in _square_classes(p)]
+    assert list(_class_tables(local, p)) == expected
+    assert _table(local, p) == table_oracle(local, p)
+
+
+@pytest.mark.parametrize("dim", range(3, 14))
+@PROPERTY
+@given(data=st.data())
+def test_table_text_is_sorted_json(dim, data):
+    p = data.draw(st.sampled_from([7, 17, 23, 41, 1031]))
+    value = st.builds(LocalValue, st.integers(0, 40), st.integers(1, p - 1))
+    table = _table(data.draw(st.lists(value, min_size=dim, max_size=dim)), p)
+    assert _table_text(table) == json.dumps(table, sort_keys=True)
+    lam = data.draw(st.sampled_from(["1", "u", "p", "up"]))
+    row = {"lambda": lam, "mismatches": ["dim", "hasse"]} | table
+    row_fields = f'"lambda": "{lam}", "mismatches": ["dim", "hasse"], '
+    assert _table_text(table, row_fields) == json.dumps(row, sort_keys=True)
 
 
 def assert_json_text(cert):
