@@ -123,29 +123,29 @@ def _words_json(values: dict, **words: tuple | list) -> str:
 
 
 def _cmd_forms_family(args: argparse.Namespace) -> tuple[int, str]:
-    forms = quadform.generate_family(args.n, args.count)
-    entries = []
-    for idx, form in enumerate(forms):
+    rows = []  # (form, signatures, admissible, anisotropic), each computed once
+    for form in quadform.generate_family(args.n, args.count):
         sig = quadform.signatures(form)
-        entries.append(
-            {
-                "index": idx,
-                "form": form.to_json(),
-                "admissible": quadform.is_admissible(form),
-                "anisotropic": quadform.is_anisotropic_certified(form),
-                "signatures": list(sig),
-            }
-        )
+        rows.append((form, sig, quadform.is_admissible(sig), quadform.is_anisotropic_certified(sig, form.dim)))
     if args.format == "csv":
         lines = ["index,n,a_u,a_v,admissible,anisotropic,sig_plus,sig_minus"]
-        for e in entries:
-            a = e["form"]["coeffs"][0]
+        for idx, (form, (neg_plus, neg_minus), admissible, anisotropic) in enumerate(rows):
+            a = form.coeffs[0]
             lines.append(
-                f"{e['index']},{args.n},{a['u']},{a['v']},"
-                f"{str(e['admissible']).lower()},{str(e['anisotropic']).lower()},"
-                f"{e['signatures'][0]},{e['signatures'][1]}"
+                f"{idx},{args.n},{a.u},{a.v},{str(admissible).lower()},"
+                f"{str(anisotropic).lower()},{neg_plus},{neg_minus}"
             )
         return 0, "\n".join(lines) + "\n"
+    entries = [
+        {
+            "index": idx,
+            "form": form.to_json(),
+            "admissible": admissible,
+            "anisotropic": anisotropic,
+            "signatures": list(sig),
+        }
+        for idx, (form, sig, admissible, anisotropic) in enumerate(rows)
+    ]
     return 0, _json_object({"status": "ok", "n": args.n, "forms": entries})
 
 

@@ -17,7 +17,9 @@ different embeddings is refused.
 
 A table's Hilbert symbols depend only on the square classes of the
 coefficients in Q_p^*, so each symbol is read from a 4 x 4 table by two
-class indices, and a witness reads the classes of each form once: the
+class indices.  The table depends only on p mod 4; its two copies are
+computed at import by `hilbert_symbol` on the class representatives at
+p = 5 and p = 3.  A witness reads the classes of each form once: the
 four scaled rows' classes follow from the scaled form's.  A witness
 prints by filling one %-template per table dimension.
 """
@@ -140,15 +142,16 @@ def signatures(q: DiagonalForm) -> tuple[int, int]:
     return neg_plus, neg_minus
 
 
-def is_admissible(q: DiagonalForm) -> bool:
-    """Definite at one real embedding, signature (1, n) at the other."""
-    return sorted(signatures(q)) == [0, 1]
+def is_admissible(sig: tuple[int, int]) -> bool:
+    """Whether a form of these `signatures` is definite at one real embedding
+    and of signature (1, n) at the other."""
+    return sorted(sig) == [0, 1]
 
 
-def is_anisotropic_certified(q: DiagonalForm) -> bool:
-    """True iff some real embedding makes q definite (sufficient for anisotropy)."""
-    dim = q.dim
-    return any(neg in (0, dim) for neg in signatures(q))
+def is_anisotropic_certified(sig: tuple[int, int], dim: int) -> bool:
+    """Whether a form of these `signatures` and dimension is definite at some
+    real embedding (sufficient for anisotropy)."""
+    return any(neg in (0, dim) for neg in sig)
 
 
 # --------------------------------------------------------- local invariants
@@ -159,9 +162,8 @@ def hilbert_symbol(a: LocalValue, b: LocalValue, p: int) -> int:
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over Q_p.  For
     a = p^alpha u, b = p^beta w this is
-    (-1)^(alpha beta (p-1)/2) * (u|p)^beta * (w|p)^alpha.  No production
-    path calls it: `_table` reads the same formula, tabulated by square
-    class in `_SYMBOLS`, and the tests use this function as its reference.
+    (-1)^(alpha beta (p-1)/2) * (u|p)^beta * (w|p)^alpha.  `_SYMBOLS`, the
+    table `_table` reads, is tabulated from it at import, through 32 calls.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"hilbert_symbol needs an odd prime, got {p}")
@@ -203,18 +205,12 @@ def _classes(local: list[LocalValue], p: int) -> list[int]:
     return [2 * (c.val % 2) + (legendre(c.unit, p, validate=False) == -1) for c in local]
 
 
-def _class_symbols(both_odd: int) -> tuple[tuple[int, ...], ...]:
-    """The Hilbert symbol (a, b) for a and b in the square classes 0..3, by
-    the formula of `hilbert_symbol`, where (-1)^((p-1)/2) = both_odd."""
-
-    def symbol(a: int, b: int) -> int:
-        s = (-1 if a % 2 and b >= 2 else 1) * (-1 if b % 2 and a >= 2 else 1)
-        return s * both_odd if a >= 2 and b >= 2 else s
-
-    return tuple(tuple(symbol(a, b) for b in range(4)) for a in range(4))
-
-
-_SYMBOLS = {1: _class_symbols(1), 3: _class_symbols(-1)}  # by p mod 4
+# The Hilbert symbols (a, b) over Q_p for a and b in the square classes 0..3,
+# by p mod 4.  They depend on nothing else, so they are read at p = 5 and p = 3.
+_SYMBOLS = {
+    p % 4: tuple(tuple(hilbert_symbol(a, b, p) for _, b in _square_classes(p)) for _, a in _square_classes(p))
+    for p in (5, 3)
+}
 
 
 @cache
@@ -484,9 +480,10 @@ def _scan_local_witness(
 def _check_pair(q: DiagonalForm, q2: DiagonalForm) -> None:
     if q.dim != q2.dim:
         raise ValueError("forms must have the same dimension")
-    if not is_admissible(q) or not is_admissible(q2):
+    sig, sig2 = signatures(q), signatures(q2)
+    if not is_admissible(sig) or not is_admissible(sig2):
         raise ValueError("both forms must be admissible")
-    if signatures(q) != signatures(q2):
+    if sig != sig2:
         # q and its conjugate define the same lattice, read through the two embeddings
         raise ValueError("the forms must be hyperbolic at the same real embedding")
 

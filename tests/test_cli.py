@@ -303,6 +303,39 @@ class TestFormsCertify:
         assert code == 2 and payload["status"] == "error"
 
 
+class TestSignaturesOnce:
+    """An op reads each form's signatures in one pass over its coefficients:
+    2 * dim `_sign_at_embedding` calls per form, one per real embedding."""
+
+    @staticmethod
+    def count_signs(monkeypatch) -> list:
+        calls = []
+        sign = quadform._sign_at_embedding
+        monkeypatch.setattr(quadform, "_sign_at_embedding", lambda *args: calls.append(1) or sign(*args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["forms", "certify", "--n", "8", "--a", "7", "--a-prime", "23"], 36),  # 2 forms of dim 9
+            (["forms", "family", "--n", "3", "--count", "300"], 2400),  # 300 forms of dim 4
+            (["forms", "family", "--n", "3", "--count", "300", "--format", "csv"], 2400),
+        ],
+        ids=["certify", "family-json", "family-csv"],
+    )
+    def test_one_pass_per_form(self, capsys, monkeypatch, argv, expected):
+        calls = self.count_signs(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == expected
+
+    def test_verify_one_pass_per_form(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "cert.json"
+        path.write_text(run(capsys, "forms", "certify", "--n", "8", "--a", "7", "--a-prime", "23")[1])
+        calls = self.count_signs(monkeypatch)
+        assert run(capsys, "forms", "verify", "--cert", str(path))[0] == 0
+        assert len(calls) == 36
+
+
 class TestWords:
     def test_canon(self, capsys):
         code, payload, _ = run_json(capsys, "words", "canon", "--word", "2,1,1")
@@ -626,8 +659,8 @@ class TestPayloadBytes:
             {
                 "index": i,
                 "form": form.to_json(),
-                "admissible": is_admissible(form),
-                "anisotropic": is_anisotropic_certified(form),
+                "admissible": is_admissible(signatures(form)),
+                "anisotropic": is_anisotropic_certified(signatures(form), form.dim),
                 "signatures": list(signatures(form)),
             }
             for i, form in enumerate(forms)

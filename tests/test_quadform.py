@@ -205,17 +205,17 @@ class TestSignatures:
         assert signatures(neg) == (4, 5)
 
     def test_admissibility(self):
-        assert is_admissible(Q7)
+        assert is_admissible(signatures(Q7))
         ones = DiagonalForm(tuple(Sqrt2Int(1) for _ in range(5)))
-        assert not is_admissible(ones)
+        assert not is_admissible(signatures(ones))
         # +sqrt2 instead of -sqrt2 mirrors the signature to (0, 1): still admissible
         plus_sqrt2 = DiagonalForm(Q7.coeffs[:-1] + (SQRT2,))
         assert signatures(plus_sqrt2) == (0, 1)
-        assert is_admissible(plus_sqrt2)
+        assert is_admissible(signatures(plus_sqrt2))
         # Lorentzian at both embeddings is what admissibility rules out
         both_lorentz = DiagonalForm(Q7.coeffs[:-1] + (Sqrt2Int(-1),))
         assert signatures(both_lorentz) == (1, 1)
-        assert not is_admissible(both_lorentz)
+        assert not is_admissible(signatures(both_lorentz))
         # u and v of opposite signs: 1 - sqrt2 < 0 < 1 + sqrt2, -1 + sqrt2 > 0 > -1 - sqrt2,
         # 3 - 2 sqrt2 > 0 at both embeddings and -3 + 2 sqrt2 < 0 at both
         for last, sig in (
@@ -226,14 +226,23 @@ class TestSignatures:
         ):
             mixed = DiagonalForm(Q7.coeffs[:-1] + (last,))
             assert signatures(mixed) == sig
-            assert is_admissible(mixed) == (sig in ((1, 0), (0, 1)))
+            assert is_admissible(signatures(mixed)) == (sig in ((1, 0), (0, 1)))
 
     def test_anisotropy_certificate(self):
-        assert is_anisotropic_certified(Q7)
+        assert is_anisotropic_certified(signatures(Q7), Q7.dim)
         lorentz = DiagonalForm(tuple(Sqrt2Int(1) for _ in range(4)) + (Sqrt2Int(-1),))
-        assert not is_anisotropic_certified(lorentz)
+        assert not is_anisotropic_certified(signatures(lorentz), lorentz.dim)
         neg = DiagonalForm(tuple(-c for c in Q7.coeffs))
-        assert is_anisotropic_certified(neg)
+        assert is_anisotropic_certified(signatures(neg), neg.dim)
+
+    def test_predicates_refuse_a_form(self):
+        # the predicates read a signature pair; a form is never read as one
+        with pytest.raises(TypeError):
+            is_admissible(Q7)
+        with pytest.raises(TypeError):
+            is_anisotropic_certified(Q7)
+        with pytest.raises(TypeError):
+            is_anisotropic_certified(Q7, Q7.dim)
 
 
 def scaled_form(q: DiagonalForm, lam: int) -> DiagonalForm:
@@ -331,7 +340,7 @@ class TestCertify:
         for _ in range(20):
             q = random_admissible(rng, n)
             sigma_q = conjugate_form(q)
-            assert is_admissible(sigma_q) and signatures(sigma_q) == signatures(q)[::-1]
+            assert is_admissible(signatures(sigma_q)) and signatures(sigma_q) == signatures(q)[::-1]
             with pytest.raises(ValueError, match="same real embedding"):
                 certify_noncommensurable(q, sigma_q, n)
             with pytest.raises(ValueError, match="same real embedding"):
@@ -431,7 +440,7 @@ class TestFastScan:
         for budget in (6, 50, 400):
             for _ in range(30):
                 q, q2 = random_admissible(rng, n), random_admissible(rng, n)
-                assert is_admissible(q) and is_admissible(q2)
+                assert is_admissible(signatures(q)) and is_admissible(signatures(q2))
                 found += self.check(q, q2, budget) is not None
         assert found
 
@@ -448,7 +457,7 @@ class TestFastScan:
         # 15 = 7 (mod 8) divides the product 9 * 25 of two target norms but
         # neither norm; the scan must still refuse it as a place
         q = DiagonalForm((Sqrt2Int(3), Sqrt2Int(5), Sqrt2Int(1), Sqrt2Int(1), -SQRT2))
-        assert is_admissible(q)
+        assert is_admissible(signatures(q))
         for f in generate_family(4, 4):
             self.check(q, f, budget)
             self.check(f, q, budget)
@@ -694,8 +703,8 @@ class TestGenerateFamily:
     def test_all_admissible_and_anisotropic(self):
         for n in (3, 4, 6):
             for form in generate_family(n, 5):
-                assert is_admissible(form)
-                assert is_anisotropic_certified(form)
+                assert is_admissible(signatures(form))
+                assert is_anisotropic_certified(signatures(form), form.dim)
                 assert signatures(form) in ((1, 0), (0, 1))
 
     def test_leading_coefficients_pairwise_nonsquare(self):
@@ -705,7 +714,8 @@ class TestGenerateFamily:
         for n in (3, 4):
             fam = generate_family(n, 60)
             for i, f in enumerate(fam):
-                assert is_admissible(f) and is_anisotropic_certified(f)
+                sig = signatures(f)
+                assert is_admissible(sig) and is_anisotropic_certified(sig, f.dim)
                 for g in fam[:i]:
                     assert not is_square_f(f.coeffs[0] * g.coeffs[0])
 

@@ -43,6 +43,7 @@ from hybridcensus.quadform import (
     generate_family,
     hilbert_symbol,
     is_admissible,
+    signatures,
     verify_certificate,
 )
 
@@ -105,7 +106,7 @@ def test_family_certificates_round_trip(pair):
 @given(admissible_pairs())
 def test_random_admissible_certificates_round_trip(pair):
     q, q2 = pair
-    assert is_admissible(q) and is_admissible(q2)
+    assert is_admissible(signatures(q)) and is_admissible(signatures(q2))
     assert_round_trip_verifies(q, q2)
 
 
