@@ -6,9 +6,9 @@ supported) on stdout; human diagnostics go to stderr.  Exit codes:
 parse error.  Each handler returns (exit code, stdout text): CSV, or one
 JSON object from `_json_object`, which also writes the error payload; `main`
 writes that text as it is.  A command line that starts with a command's
-words (`forms certify`, `census`, ...) is parsed by that command's own
-parser, which argparse would reach through every level above it; any
-other goes through the top parser.
+words (`forms certify`, `census`, ...) is parsed once, by that command's
+own parser, whose usage line a usage error prints; any other goes through
+the top parser.
 """
 
 from __future__ import annotations
@@ -392,20 +392,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argp
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`parse_args(argv)` of the top parser.
+    """The namespace of argv, parsed once.
 
-    Nested subparsers pass every argument after the command words to the
-    leaf parser untouched, so when argv starts with a leaf's command words
-    the leaf parses the rest itself.  Anything else (help or an error at an
-    upper level, or arguments a leaf leaves over) goes through the top
-    parser, which prints the same usage and message as always.
+    When argv starts with a command's words, the rest goes to that
+    command's parser alone.  Nested subparsers would hand it the same
+    arguments, so the namespace (less `command` and `subcommand`, which no
+    handler reads) and any error message are those of the top parser; an
+    error prints the command's own usage line.  Any other argv (help, an
+    unknown or missing command) goes through the top parser.
     """
     parser, leaves = _build_parser()
     for words in (argv[:1], argv[:2]):
         leaf = leaves.get(tuple(words))
         if leaf is not None:
-            args, extras = leaf.parse_known_args(argv[len(words) :])
-            return parser.parse_args(argv) if extras else args
+            return leaf.parse_args(argv[len(words) :])
     return parser.parse_args(argv)
 
 
@@ -415,7 +415,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, text = args.handler(args)
     except SystemExit as exc:  # --help; a usage error raises ValueError
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         _diag(f"error: {exc}")
         code, text = 2, _json_object({"status": "error", "message": str(exc)})
     try:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import json
 import math
@@ -196,10 +197,13 @@ class TestFormsCertify:
             lambda c: c["form"].update(n=4.0),
             lambda c: c["witness"]["target"]["invariants"].update(dim=5.0),
             lambda c: c["form"].update(n="4"),
+            # the other root of 2 at the witness prime names a genuine place,
+            # but certificates record the one LocalPlace.at picks
+            lambda c: c["witness"].update(sqrt2_root=c["witness"]["p"] - c["witness"]["sqrt2_root"]),
         ],
         ids=[
             "u-fraction", "u-number", "n-fraction", "no-direction", "extra-key", "empty-swapped",
-            "symbol-float", "n-float", "form-n-float", "dim-float", "form-n-string",
+            "symbol-float", "n-float", "form-n-float", "dim-float", "form-n-string", "other-root",
         ],
     )
     def test_verify_refuses_hand_edits(self, capsys, tmp_path, edit):
@@ -594,9 +598,19 @@ class TestCensusBytes:
         assert [v for v, _, _ in calls] == [Fraction(5 * m, 2) for m in range(1, 6)]
 
 
+# argv whose command parses and leaves arguments over
+LEFTOVER_ARGV = [
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "extra"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--bogus", "1"],
+    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--", "x"],
+    ["words", "canon", "--word", "2,1,1", "x", "y"],
+    ["words", "enumerate", "--r", "2", "--m", "2", "--cap", "20"],
+    ["census", "--r", "2", "--m-max", "3", "extra"],
+]
+
 # argv that reach every level of the grammar: help, upper-level errors,
 # arguments a command leaves over, abbreviations and values joined by "="
-PARSE_CORPUS = [
+PARSE_CORPUS = LEFTOVER_ARGV + [
     ["-h"], ["--help"], ["-h", "forms"], ["forms", "-h"], ["forms", "--help"], ["words", "-h"],
     ["forms", "family", "-h"], ["forms", "certify", "--help"], ["forms", "verify", "-h"],
     ["words", "canon", "-h"], ["words", "commensurable", "--help"], ["words", "stabilizer", "-h"],
@@ -605,9 +619,6 @@ PARSE_CORPUS = [
     [], ["forms"], ["words"], ["census"], ["bogus"], ["forms", "bogus"], ["words", "census"],
     ["--", "census", "--r", "2", "--m-max", "1"], ["census", "--", "--r", "2", "--m-max", "1"],
     ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23"],
-    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "extra"],
-    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--bogus", "1"],
-    ["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23", "--", "x"],
     ["forms", "certify", "--n", "4", "--a", "7", "--a-p", "23", "--max=50"],
     ["forms", "certify", "--n=4", "--a=7", "--a-prime=23", "--m", "5"],
     ["forms", "certify", "--n", "4", "--a", "-7", "--a-prime", "23"],
@@ -616,12 +627,10 @@ PARSE_CORPUS = [
     ["forms", "family", "--n", "3", "--count", "2", "--format", "xml"],
     ["forms", "verify", "--cert", "no-such-file.json"], ["forms", "verify"],
     ["words", "canon", "--word=-2,-1"], ["words", "canon", "--word", "-2,-1"],
-    ["words", "canon", "--word", "2,1,1", "x", "y"], ["words", "canon", "--word"],
+    ["words", "canon", "--word"],
     ["words", "commensurable", "--alpha", "1,2,2,1", "--beta", "1,1,2,2"],
     ["words", "stabilizer", "--word", "2,1,1,1", "--r", "3"],
-    ["words", "enumerate", "--r", "2", "--m", "2", "--cap", "20"],
-    ["census", "--format", "csv", "--r", "2", "--m-max", "3"],
-    ["census", "--r", "2", "--m-max", "3", "extra"], ["census", "--r", "2"],
+    ["census", "--format", "csv", "--r", "2", "--m-max", "3"], ["census", "--r", "2"],
 ]
 
 
@@ -633,17 +642,28 @@ def top_level_parse(argv):
 class TestParserDispatch:
     @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "<empty>" for a in PARSE_CORPUS])
     def test_same_as_top_level_parse(self, capsys, monkeypatch, argv):
-        got = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         monkeypatch.setattr(cli, "_parse", top_level_parse)
-        assert run(capsys, *argv) == got
+        if argv in LEFTOVER_ARGV:
+            # the command's parser reports the leftover arguments, so its own
+            # usage line is printed instead of the top parser's
+            words = argv[:1] if argv[0] == "census" else argv[:2]
+            assert err.startswith(f"usage: hybrid-census {' '.join(words)} [-h] ")
+            assert run(capsys, *argv)[:2] == (code, out)
+        else:
+            assert run(capsys, *argv) == (code, out, err)
 
     def test_leaf_parses_alone(self, capsys, monkeypatch):
-        # a well-formed command goes to its own parser, never the top parser's
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)
+        # a command line that names a command never reaches the top parser,
+        # nor does its usage error
+        monkeypatch.setattr(cli._build_parser()[0], "parse_args", None)
         code, payload, _ = run_json(capsys, "census", "--r", "2", "--m-max", "3")
         assert code == 0 and payload["m_max"] == 3
         code, payload, _ = run_json(capsys, "forms", "certify", "--n=3", "--a", "3", "--a-p", "5")
         assert code == 0 and payload["certificate"]["kind"] == "OddDiscWitness"
+        for argv in LEFTOVER_ARGV:
+            code, payload, _ = run_json(capsys, *argv)
+            assert code == 2 and payload["message"].startswith("unrecognized arguments: ")
 
 
 class TestPayloadBytes:
@@ -710,6 +730,120 @@ def over_limit_message() -> str:
     with pytest.raises(ValueError) as excinfo:
         str(10 ** sys.get_int_max_str_digits())
     return str(excinfo.value)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def line(text: str) -> str:
+    """The sha256 of a stdout that is the one line text."""
+    return sha256(text + "\n")
+
+
+# The input files of README's CLI block, and one more that a census pin reads
+CLI_FILES = {
+    "volumes.json": '{"1": "1", "2": "3/2"}',
+    "huge.json": '{"1": "1000000000"}',
+    "edge.json": '{"1": "14284"}',
+    "vol1.json": '{"1": "3/2"}',
+}
+
+# (command line, exit code, sha256 of stdout, file stdout is saved to), run in
+# order: every command of README's CLI block, then the other pinned outputs
+CLI_PINS = [
+    ("forms family --n 4 --count 3", 0, "b049892600e2fb98b131baf15b48add0828b3ce484fad6e1148d5d57cc4a7f41", None),
+    ("forms family --n 3 --count 2 --format csv", 0,
+     sha256("index,n,a_u,a_v,admissible,anisotropic,sig_plus,sig_minus\n0,3,2,0,true,true,1,0\n1,3,3,0,true,true,1,0\n"),
+     None),
+    ("forms certify --n 4 --a 7 --a-prime 23", 0,
+     "e80252952d80ddd8045ad504642c0b58d41c726e85a0063e4f93f22436a9407f", "cert.json"),
+    # an OddDiscWitness, whose witness body goes through json.dumps
+    ("forms certify --n 3 --a 3 --a-prime 5", 0, "9cb6ebf17ba9c3d800f25994784b3f7c976d3145c72404c99df7ea7032b7d921", None),
+    ("forms certify --n 4 --a 7 --a-prime 7", 1,
+     line('{"a": 7, "a_prime": 7, "max_prime": 1000, "n": 4, "status": "no-witness"}'), None),
+    ("forms verify --cert cert.json", 0, line('{"kind": "LocalWitness", "status": "ok", "valid": true}'), None),
+    ("words canon --word 2,1,1", 0, line('{"canonical": [1, 1, 2], "shift": 1, "status": "ok", "word": [2, 1, 1]}'), None),
+    ("words canon --word 10,2,10 --r 12", 0,
+     line('{"canonical": [2, 10, 10], "shift": 1, "status": "ok", "word": [10, 2, 10]}'), None),
+    ("words commensurable --alpha 1,2,2,1 --beta 1,1,2,2", 0,
+     line('{"alpha": [1, 2, 2, 1], "beta": [1, 1, 2, 2], "commensurable": true, "shift": 3, "status": "ok"}'), None),
+    ("words stabilizer --word 2,1,1,1", 0,
+     line('{"dihedral_order": 2, "reflection_exists": true, "rotation_order": 1, "status": "ok", "word": [2, 1, 1, 1]}'),
+     None),
+    ("words enumerate --r 2 --m 2", 0,
+     line('{"classes": [[1, 1, 2, 2], [1, 2, 1, 2]], "count": 2, "m": 2, "r": 2, "status": "ok"}'), None),
+    ("words enumerate --r 20 --m 1", 2,
+     line('{"message": "class limit exceeded: 121645100408832000 classes > 1000000", "status": "error"}'), None),
+    ("words enumerate --r 2 --m 11", 0, "89c7582d4c04c1faddbd140d653a0198a5652cddc144c135a0bb1c234622b83b", None),
+    ("census --r 2 --m-max 8 --format csv", 0, "c337aaa851ffc533447d20f067970f39bc3c842a9ba1638d40bab86e81d799db", None),
+    ("census --r 2 --m-max 8 --volumes volumes.json --K 2 --V 1", 0,
+     "74382669903cbd95ed98739f337fbf71339c983b9a18cad83ad8861dd538b07e", None),
+    ("census --r 1 --m-max 1 --volumes huge.json --K 1 --V 1", 2,
+     line('{"message": "lcom bound 2^1000000000 passes the 4300-digit limit", "status": "error"}'), None),
+    ("census --r 1 --m-max 1 --volumes edge.json --K 1 --V 1", 0,
+     "48dc8be58ad9c69e350f55745a2a268470b37e0ca8dc3cdd8c986858b012e87e", None),
+    # both prime walks of generate_family, each in both formats: every prime
+    # for odd n, the primes p = 7 (mod 8) for even n
+    ("forms family --n 3 --count 300", 0, "2b3f9dc29159147a306664d7fedd84b0205a5b7a6ebe84a93ce2f1531128b867", None),
+    ("forms family --n 3 --count 300 --format csv", 0,
+     "312ff9d312aa11c3a824f97bc0f14665ebbf0ad9716d003b048901585383b35e", None),
+    ("forms family --n 4 --count 300", 0, "ee53d3a78c8645dff317dc805db9839ee537f066df51a84f3a7b7d3ac0ac4108", None),
+    ("forms family --n 4 --count 300 --format csv", 0,
+     "054821aae306f1e28a5deb12b88fbb837206278b86a980e6ba04b0279d631b95", None),
+    # a LocalWitness with larger tables
+    ("forms certify --n 8 --a 7 --a-prime 23", 0, "365f073576b31c62c93b8e49a8def455dbfe0b49b3d422427af3863cf0d83bed", None),
+    ("forms certify --n 4 --a 7 --a-prime 23 extra", 2,
+     line('{"message": "unrecognized arguments: extra", "status": "error"}'), None),
+    ("words enumerate --r 2 --m 14", 2,
+     line('{"message": "class limit exceeded: 1432860 classes > 1000000", "status": "error"}'), None),
+    # with r = 1 the ratios are exactly 1.0 and 2.0
+    ("census --r 1 --m-max 1", 0,
+     line('{"m_max": 1, "r": 1, "rows": [{"a_m": "1", "asymptotic": "1.000000000e+0", "m": 1, '
+          '"multinomial_bound": "1/1", "pow2": "2", "ratio": 1.0, '
+          '"volume": {"counts": {"1": 1}, "symbolic": "1*v1"}}], "status": "ok"}'),
+     None),
+    ("census --r 1 --m-max 2 --volumes vol1.json --K 1 --V 2", 0,
+     line('{"lcom": [{"lower_bound": "1", "m": 1, "volume": "3/2"}, {"lower_bound": "8", "m": 2, "volume": "3/1"}], '
+          '"liminf": "0/1", "m_max": 2, "r": 1, "rows": [{"a_m": "1", "asymptotic": "1.000000000e+0", "m": 1, '
+          '"multinomial_bound": "1/1", "pow2": "2", "ratio": 1.0, '
+          '"volume": {"counts": {"1": 1}, "symbolic": "1*v1", "total": "3/2"}}, '
+          '{"a_m": "1", "asymptotic": "5.000000000e-1", "m": 2, "multinomial_bound": "1/2", "pow2": "4", '
+          '"ratio": 2.0, "volume": {"counts": {"1": 2}, "symbolic": "2*v1", "total": "3/1"}}], "status": "ok"}'),
+     None),
+    ("census --r 1000000 --m-max 1", 2,
+     line('{"message": "r = 1000000: row 1\'s count (r-1)! passes the 4300-digit limit", "status": "error"}'), None),
+]
+
+
+def readme_cli_commands():
+    """(command line, file its stdout is saved to or None) for each command
+    of README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for shell_line in block.splitlines():
+        if shell_line.startswith("hybrid-census "):
+            command, _, save = shell_line.split("#")[0].removeprefix("hybrid-census ").partition(">")
+            yield command.strip(), save.strip() or None
+
+
+class TestDocumentedCommands:
+    @needs_digit_limit
+    def test_exit_codes_and_stdout_bytes(self, capsys, monkeypatch, tmp_path):
+        """Every command of README's CLI block, and every other pinned output,
+        exits with its code and prints its bytes."""
+        pinned = {command: save for command, _, _, save in CLI_PINS}
+        for command, save in readme_cli_commands():
+            assert command in pinned and save in (None, pinned[command]), command
+        monkeypatch.chdir(tmp_path)
+        for name, text in CLI_FILES.items():
+            Path(name).write_text(text + "\n", encoding="utf-8")
+        with int_digit_limit(4300):
+            for command, code, digest, save in CLI_PINS:
+                got, out, _ = run(capsys, *command.split())
+                assert (got, sha256(out)) == (code, digest), command
+                if save:
+                    Path(save).write_text(out, encoding="utf-8")
 
 
 class TestCensus:
@@ -922,7 +1056,7 @@ class TestCensus:
             sys.executable, "-X", "int_max_str_digits=4300", "-m", "hybridcensus.cli",
             "census", "--r", r, "--m-max", "100000000",
         ]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
         assert done.returncode == 2
         assert done.stdout.count("\n") == 1
         assert json.loads(done.stdout) == {
@@ -1039,7 +1173,7 @@ class TestCensus:
             sys.executable, "-X", "int_max_str_digits=4300", "-m", "hybridcensus.cli",
             "census", "--r", "1", "--m-max", "1", "--volumes", str(vols), "--K", "1", "--V", "1",
         ]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
         assert done.returncode == 2
         assert done.stdout.count("\n") == 1
         assert json.loads(done.stdout) == {

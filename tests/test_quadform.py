@@ -471,6 +471,11 @@ class TestVerifier:
         restored = NoncommCertificate.from_json(json.loads(blob))
         assert restored == cert
         assert verify_certificate(restored)
+        # equality is that of Python values: true read for a symbol 1 verifies,
+        # and prints as 1, since the table writes every number with %d
+        assert '"symbol": 1' in blob
+        edited = NoncommCertificate.from_json(json.loads(blob.replace('"symbol": 1', '"symbol": true', 1)))
+        assert verify_certificate(edited) and edited.json_text() == blob
 
     def test_odd_witness_roundtrip(self):
         cert = certify_noncommensurable(
@@ -478,6 +483,12 @@ class TestVerifier:
         )
         restored = NoncommCertificate.from_json(json.loads(json.dumps(cert.to_json())))
         assert verify_certificate(restored)
+        # and 1 read for true in the square test verifies, and prints as 1
+        blob = cert.json_text()
+        assert '"norm_is_square": true' in blob
+        blob = blob.replace('"norm_is_square": true', '"norm_is_square": 1')
+        edited = NoncommCertificate.from_json(json.loads(blob))
+        assert verify_certificate(edited) and edited.json_text() == blob
 
     def test_odd_witness_at_the_size_bound(self, monkeypatch):
         # the norms 9, 25, 4^10, 4^20, 4^11, 4^21 and 2, 2 give s = 3 + 4 + 124 + 2
