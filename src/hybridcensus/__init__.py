@@ -12,7 +12,6 @@ from .exact_arith import (
     is_square_f,
     is_square_q,
     legendre,
-    sqrt_mod_p,
     valuation_f,
 )
 from .gluing import (

@@ -2,8 +2,8 @@
 
 Commands emit a single machine-readable payload (JSON, or CSV where
 supported) on stdout; human diagnostics go to stderr.  Exit codes:
-0 success or witness found, 1 no witness within budget, 2 usage or
-parse error.  Each handler returns (exit code, stdout text): CSV, or one
+0 success or witness found, 1 no witness, 2 usage or parse error.
+Each handler returns (exit code, stdout text): CSV, or one
 JSON object from `_json_object`, which also writes the error payload; `main`
 writes that text as it is.  A command line that starts with a command's
 words (`forms certify`, `census`, ...) is parsed once, by that command's
@@ -158,7 +158,8 @@ def _cmd_forms_certify(args: argparse.Namespace) -> tuple[int, str]:
     q_a2 = quadform.DiagonalForm.standard(args.a_prime, args.n)
     cert = quadform.certify_noncommensurable(q_a, q_a2, args.n, args.max_prime)
     if cert is None:
-        _diag(f"no witness for a={args.a}, a'={args.a_prime} within prime budget {args.max_prime}")
+        why = ": the discriminant ratio is a square" if args.n % 2 else f" within prime budget {args.max_prime}"
+        _diag(f"no witness for a={args.a}, a'={args.a_prime}{why}")
         return 1, _json_object(
             {
                 "status": "no-witness",

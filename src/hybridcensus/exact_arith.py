@@ -13,7 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -29,7 +29,6 @@ __all__ = [
     "legendre",
     "primes_from",
     "smallest_nonresidue",
-    "sqrt_mod_p",
     "square_test_f",
     "valuation_f",
 ]
@@ -115,35 +114,6 @@ def smallest_nonresidue(p: int) -> int:
         if legendre(a, p, validate=False) == -1:
             return a
     raise ValueError(f"no non-residue mod {p}")
-
-
-def sqrt_mod_p(a: int, p: int) -> Optional[int]:
-    """Smallest c with c^2 = a (mod p), or None when a is not a nonzero QR.
-
-    Tonelli-Shanks; for p = 3 (mod 4) (s = 1) the loop does not run and the
-    root is a^((p+1)/4).
-    """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"sqrt_mod_p: modulus {p} is not an odd prime")
-    a %= p
-    if legendre(a, p, validate=False) != 1:
-        return None
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = smallest_nonresidue(p)
-    m, c, t, rt = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, rt = t * c % p, rt * b % p
-    return min(rt, p - rt)
 
 
 # ------------------------------------------------------------- Z[sqrt(2)]
@@ -239,10 +209,11 @@ class LocalPlace:
 
     The chosen root c fixes the embedding sqrt(2) -> c of the field into
     Q_p, and either root of 2 names one of the two places above p.
-    `LocalPlace.at` picks one: at p = 7 (mod 8) the root that is itself a
-    quadratic residue (exactly one is, since -1 is a non-residue there),
-    and the smaller root otherwise.  Certificates record the root `at`
-    picks, and `verify_certificate` refuses one that names the other.
+    `LocalPlace.at` picks one in closed form: at p = 7 (mod 8) the residue
+    root 2^((p+1)/4) (one root is a residue, as -1 is not), at p = 1 (mod 8)
+    the smaller of +-(w + w^7), w = z^((p-1)/8) for the least non-residue z.
+    Certificates record the root `at` picks, and `verify_certificate`
+    refuses one that names the other.
     """
 
     p: int
@@ -262,7 +233,8 @@ class LocalPlace:
 
     @classmethod
     def at(cls, p: int) -> "LocalPlace":
-        """The canonical place at p: QR root for p = 7 (mod 8), smaller root otherwise."""
+        """The canonical place at p: the QR root 2^((p+1)/4) for p = 7 (mod 8),
+        the smaller root +-(w + w^7) with w^4 = -1 for p = 1 (mod 8)."""
         if p >= _MR_BOUND:  # refused before the power, whose cost grows with p
             raise ValueError(f"invalid place: p is not below the primality bound {_MR_BOUND}")
         if p % 8 == 7:
@@ -270,10 +242,16 @@ class LocalPlace:
             # c^2 = 2 * 2^((p-1)/2) = 2 * (2|p) = 2, since 2 is a residue mod a
             # prime p = 7 (mod 8); __post_init__ still refuses a composite p
             return cls(p, pow(2, (p + 1) // 4, p))
-        c = sqrt_mod_p(2, p)
-        if c is None:
+        # primality first: the non-residue search may run to p on a composite (1729)
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"invalid place: {p} is not an odd prime")
+        if p % 8 != 1:
             raise ValueError(f"invalid place: 2 is not a square mod {p}")
-        return cls(p, c)
+        # for a non-residue z, w = z^((p-1)/8) has w^4 = z^((p-1)/2) = -1, so
+        # w^8 = 1 and (w + w^7)^2 = (w + 1/w)^2 = w^2 + 2 + w^-2 = 2
+        w = pow(smallest_nonresidue(p), (p - 1) // 8, p)
+        c = (w + pow(w, 7, p)) % p
+        return cls(p, min(c, p - c))
 
 
 def hensel_lift_sqrt2(place: LocalPlace, k: int) -> int:

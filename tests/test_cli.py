@@ -545,6 +545,11 @@ class TestCertifyBytes:
         payload = {"status": "no-witness", "n": 4, "a": 7, "a_prime": 7, "max_prime": 1000}
         assert code == 1 and out == json.dumps(payload, sort_keys=True) + "\n"
         assert err == "no witness for a=7, a'=7 within prime budget 1000\n"
+        # odd n scans no places, so the stderr line names the square discriminant ratio
+        code, out, err = run(capsys, "forms", "certify", "--n", "3", "--a", "7", "--a-prime", "7")
+        payload = {"status": "no-witness", "n": 3, "a": 7, "a_prime": 7, "max_prime": 1000}
+        assert code == 1 and out == json.dumps(payload, sort_keys=True) + "\n"
+        assert err == "no witness for a=7, a'=7: the discriminant ratio is a square\n"
 
 
 class TestCensusBytes:

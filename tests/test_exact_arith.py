@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hybridcensus import exact_arith
 from hybridcensus.exact_arith import (
     _MR_BASES,
     _MR_BOUND,
@@ -18,7 +19,6 @@ from hybridcensus.exact_arith import (
     is_square_q,
     legendre,
     smallest_nonresidue,
-    sqrt_mod_p,
     square_test_f,
     valuation_f,
 )
@@ -31,7 +31,8 @@ PLACES = [
     LocalPlace(p, c)
     for p in range(7, 200, 2)
     if p % 8 in (1, 7) and is_prime(p)
-    for c in (sqrt_mod_p(2, p), p - sqrt_mod_p(2, p))
+    for root in [LocalPlace.at(p).sqrt2_root]
+    for c in sorted((root, p - root))
 ]
 
 
@@ -162,35 +163,6 @@ class TestLegendre:
             assert legendre(a, p) * legendre(b, p) == legendre(a * b, p)
 
 
-class TestSqrtModP:
-    def test_examples(self):
-        assert sqrt_mod_p(2, 7) == 3  # roots {3, 4}
-        assert sqrt_mod_p(2, 23) == 5  # roots {5, 18}
-        assert sqrt_mod_p(3, 7) is None
-
-    def test_exhaustive_small_primes(self):
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 41, 73):
-            roots = {}
-            for x in range(1, p):
-                roots.setdefault(x * x % p, set()).add(x)
-            for a in range(p):
-                got = sqrt_mod_p(a, p)
-                if a % p in roots:
-                    assert got == min(roots[a])
-                else:
-                    assert got is None
-
-    def test_tonelli_branch_large(self):
-        # p = 1 mod 4 exercises the full Tonelli-Shanks loop
-        p = 10009
-        assert p % 4 == 1
-        rng = random.Random(5)
-        for _ in range(50):
-            x = rng.randrange(1, p)
-            c = sqrt_mod_p(x * x % p, p)
-            assert c is not None and c * c % p == x * x % p
-
-
 class TestLocalPlace:
     def test_qr_root_convention_for_7_mod_8(self):
         for p in (7, 23, 31, 47, 71, 79):
@@ -202,8 +174,24 @@ class TestLocalPlace:
 
     def test_smaller_root_for_1_mod_8(self):
         for p in (17, 41, 73, 89, 97):
-            place = LocalPlace.at(p)
-            assert place.sqrt2_root == sqrt_mod_p(2, p)
+            c = LocalPlace.at(p).sqrt2_root
+            assert c * c % p == 2 and c < p - c
+
+    def test_closed_forms_against_brute_force(self):
+        # a place exactly at the odd primes p = +-1 (mod 8), with the one root
+        # that is a residue at p = 7 (mod 8) and the smaller root at p = 1
+        for p in range(-20, 2001):
+            if not (p > 2 and is_prime(p) and p % 8 in (1, 7)):
+                with pytest.raises(ValueError):
+                    LocalPlace.at(p)
+                continue
+            roots = [x for x in range(1, p) if x * x % p == 2]
+            if p % 8 == 7:
+                squares = {y * y % p for y in range(1, p)}
+                (expected,) = [x for x in roots if x in squares]
+            else:
+                expected = min(roots)
+            assert LocalPlace.at(p) == LocalPlace(p, expected), p
 
     def test_known_roots(self):
         assert LocalPlace.at(7).sqrt2_root == 4
@@ -224,12 +212,22 @@ class TestLocalPlace:
     @pytest.mark.parametrize(
         "p, message",
         [
-            (9, "sqrt_mod_p: modulus 9 is not an odd prime"),
+            (1, "invalid place: 1 is not an odd prime"),
+            (2, "invalid place: 2 is not an odd prime"),
+            (9, "invalid place: 9 is not an odd prime"),
             (13, "invalid place: 2 is not a square mod 13"),
             (15, "invalid place: 15 is not an odd prime"),
+            # 1729 = 7 * 13 * 19 = 1 (mod 8) passes Euler's test to the bases
+            # 2, ..., 6, so a non-residue search on it runs to its factor 7
+            (1729, "invalid place: 1729 is not an odd prime"),
         ],
     )
-    def test_invalid_place_messages(self, p, message):
+    def test_invalid_place_messages(self, monkeypatch, p, message):
+        # every refusal comes before the non-residue search
+        def no_search(n):
+            raise AssertionError(f"non-residue search on {n}")
+
+        monkeypatch.setattr(exact_arith, "smallest_nonresidue", no_search)
         with pytest.raises(ValueError) as excinfo:
             LocalPlace.at(p)
         assert str(excinfo.value) == message

@@ -4,9 +4,10 @@ Primality is compared on a full small range, on seeded random values up
 to the deterministic bound and the primes that follow them, on every band
 [psi_(k-1), psi_k) in which is_prime runs k bases, on the 12-base strong
 pseudoprime and on the values just below the bound.
-Legendre symbols, square roots (as sets of roots) and the smallest
-non-residue are compared for every odd prime below 3,000, on every
-residue for the small primes and on seeded samples for the rest.
+Legendre symbols and the smallest non-residue are compared for every odd
+prime below 3,000, on every residue for the small primes and on seeded
+samples for the rest.  The roots of 2 that `LocalPlace.at` picks are
+compared with sympy's on seeded split primes of every size below the bound.
 """
 
 import random
@@ -20,10 +21,10 @@ from sympy.ntheory import sqrt_mod
 from hybridcensus.exact_arith import (
     _MR_BOUND,
     _MR_PSI,
+    LocalPlace,
     is_prime,
     legendre,
     smallest_nonresidue,
-    sqrt_mod_p,
 )
 
 # A strong pseudoprime to each of the twelve prime bases 2, ..., 37.
@@ -81,17 +82,32 @@ def test_is_prime_just_below_the_bound():
         is_prime(_MR_BOUND)
 
 
-def test_legendre_and_sqrt_mod_p():
+def test_legendre():
     rng = random.Random(1)
     for p in ODD_PRIMES:
         for a in residues(p, rng):
             assert legendre(a, p) == legendre_symbol(a, p), (a, p)
-            roots = set(sqrt_mod(a, p, all_roots=True) or ())
-            c = sqrt_mod_p(a, p)
-            if a == 0 or not roots:
-                assert c is None, (a, p)
+
+
+def test_place_roots_at_seeded_split_primes():
+    # the smaller root at p = 1 (mod 8), the residue root at p = 7, for
+    # primes after seeded values of every bit length up to the bound
+    rng = random.Random(4)
+    seen = {1: 0, 7: 0}
+    for bits in range(5, _MR_BOUND.bit_length() + 1):
+        for _ in range(6):
+            p = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits))
+            if p >= _MR_BOUND or p % 8 not in seen:
+                continue
+            seen[p % 8] += 1
+            c = LocalPlace.at(p).sqrt2_root
+            roots = set(sqrt_mod(2, p, all_roots=True))
+            assert {c, p - c} == roots, p
+            if p % 8 == 1:
+                assert c == min(roots), p
             else:
-                assert c == min(roots) and {c, p - c} == roots, (a, p)
+                assert legendre_symbol(c, p) == 1, p
+    assert min(seen.values()) >= 100, seen
 
 
 def test_smallest_nonresidue():
