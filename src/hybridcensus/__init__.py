@@ -22,7 +22,6 @@ from .gluing import (
     enumerate_classes,
     isometry_upper_bound,
     necklace_count,
-    primitive_root,
     same_class,
 )
 from .quadform import (

@@ -41,6 +41,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
 
 
+# A document that fails its first shape check is refused as nested too deeply
+# past this depth on every interpreter; certify's output nests 7 deep at most.
+_MAX_JSON_DEPTH = 100
+
+
 def _load_json(path: str, **options) -> object:
     """The JSON document in the file at path.  A document nested past the
     interpreter's recursion limit is a ValueError, like any other bad file."""
@@ -51,9 +56,20 @@ def _load_json(path: str, **options) -> object:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _refuse_deep(doc: object, path: str) -> None:
+    """Raise the nesting error of `_load_json` for a parsed document that nests
+    deeper than `_MAX_JSON_DEPTH`, walking it level by level, not recursively."""
+    level = [doc]
+    for _ in range(_MAX_JSON_DEPTH):
+        level = [v for x in level if isinstance(x, (dict, list)) for v in (x.values() if isinstance(x, dict) else x)]
+    if any(isinstance(x, (dict, list)) for x in level):
+        raise ValueError(f"{path}: JSON nested too deeply")
+
+
 def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
     raw = _load_json(path)
     if not isinstance(raw, dict):
+        _refuse_deep(raw, path)
         raise ValueError(f"volume file {path} must hold a JSON object of piece volumes")
     volumes = {}
     for k, v in raw.items():
@@ -65,6 +81,8 @@ def _load_volumes(path: str, r: int) -> dict[int, Fraction]:
             raise ValueError(f"volume file {path} has key {k!r}: expected a piece number") from None
         if not 1 <= piece <= r:
             raise ValueError(f"volume file {path} has key {k!r}: expected a piece number in 1..{r}")
+        if not isinstance(v, (str, int)) or isinstance(v, bool):
+            raise ValueError(f"volume file {path}: piece {piece} must be a JSON string or integer")
         volumes[piece] = _parse_fraction(str(v))
     for k in range(1, r + 1):
         if k not in volumes:
@@ -184,7 +202,11 @@ def _cmd_forms_verify(args: argparse.Namespace) -> tuple[int, str]:
     doc = _load_json(args.cert, parse_float=_refuse_non_integer, parse_constant=_refuse_non_integer)
     if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
-    cert = quadform.NoncommCertificate.from_json(doc)
+    try:
+        cert = quadform.NoncommCertificate.from_json(doc)
+    except ValueError:
+        _refuse_deep(doc, args.cert)
+        raise
     if quadform.verify_certificate(cert):
         _diag("certificate re-verified from scratch")
         return 0, _json_object({"status": "ok", "valid": True, "kind": cert.kind})

@@ -226,11 +226,6 @@ class LocalPlace:
         if not (1 <= c < p) or c * c % p != 2:
             raise ValueError(f"invalid place: {c}^2 != 2 mod {p}")
 
-    @property
-    def root_is_qr(self) -> bool:
-        """Whether the chosen root of 2 is itself a square mod p."""
-        return legendre(self.sqrt2_root, self.p, validate=False) == 1
-
     @classmethod
     def at(cls, p: int) -> "LocalPlace":
         """The canonical place at p: the QR root 2^((p+1)/4) for p = 7 (mod 8),

@@ -17,8 +17,8 @@ with Euler's phi read from one totient sieve.
 
 Only `CyclicWord(...)` and `CyclicWord.parse` check letters, where a word
 comes in from outside; both refuse bool letters and an alphabet size that
-is not an int.  Every word the module builds itself (rotations,
-canonical forms and primitive roots of checked words, and the enumerated
+is not an int.  Every word the module builds itself (rotations and
+canonical forms of checked words, and the enumerated
 classes, whose letters are 1..r by construction) goes through
 `CyclicWord._unchecked`, which skips the check and fills the word's two
 slots through their own setters.
@@ -45,7 +45,6 @@ __all__ = [
     "isometry_upper_bound",
     "multinomial_lower_bound",
     "necklace_count",
-    "primitive_root",
     "same_class",
 ]
 
@@ -172,16 +171,6 @@ def canonical_rotation(w: CyclicWord) -> tuple[CyclicWord, int]:
     return w.rotate(shift), shift
 
 
-def primitive_root(w: CyclicWord) -> CyclicWord:
-    """Shortest word g with w = g repeated m/|g| times.
-
-    |g| is the period of w, the first position >= 1 where w occurs in w.w.
-    """
-    (text,) = _texts(w)
-    period = (text + text).find(text, 1)
-    return CyclicWord._unchecked(w.letters[:period], w.r)
-
-
 def same_class(alpha: CyclicWord, beta: CyclicWord) -> tuple[bool, Optional[int]]:
     """Rotation-orbit equality, with the smallest witness shift.
 
@@ -218,7 +207,8 @@ def dihedral_stabilizer(w: CyclicWord) -> StabilizerReport:
     """Count the rotations and detect a reflection of Z/mZ preserving the coloring.
 
     The shifts fixing w form a subgroup of Z/mZ generated by the period d
-    of w (see `primitive_root`), so there are m/d of them.  The reflection
+    of w, the first position >= 1 where w occurs in w.w, so there are m/d
+    of them.  The reflection
     i -> t - i sends w to the word i -> w[(t - i) mod m], which is the
     reversed word rotated by m - 1 - t; so some reflection fixes w exactly
     when the reversed word lies in the rotation class of w, that is,

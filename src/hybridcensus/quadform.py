@@ -189,14 +189,6 @@ def _square_classes(p: int) -> Iterator[tuple[str, LocalValue]]:
     yield "up", LocalValue(1, u)
 
 
-def _local_values(q: DiagonalForm, place: LocalPlace) -> list[LocalValue]:
-    return [valuation_f(c, place) for c in q.coeffs]
-
-
-def _scale(local: list[LocalValue], scale: LocalValue, p: int) -> list[LocalValue]:
-    return [LocalValue(c.val + scale.val, c.unit * scale.unit % p) for c in local]
-
-
 def _classes(local: list[LocalValue], p: int) -> list[int]:
     """The square class of each value as an index 2 alpha + nu: alpha is the
     valuation's parity and nu is 1 when the unit is a non-residue.  The
@@ -218,19 +210,16 @@ def _pairs(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(dim), 2))
 
 
-def _table(local: list[LocalValue], p: int, classes: Optional[list[int]] = None) -> dict:
+def _table(local: list[LocalValue], p: int, classes: list[int]) -> dict:
     """The invariants and Hilbert-symbol table of the diagonal form with these
-    local coefficient values, as a certificate records them.
+    local coefficient values and their `_classes`, as a certificate records
+    them.
 
     Each symbol (a_i, a_j) depends only on the square classes of a_i and a_j,
     so it is read from the 4 x 4 table `_SYMBOLS` by the two class indices.
-    The classes are read from one Legendre symbol per coefficient unless
-    they are given.  The discriminant's valuation parity and unit class are
-    the sums of the alphas and of the nus mod 2, since the Legendre symbol
-    is multiplicative.
+    The discriminant's valuation parity and unit class are the sums of the
+    alphas and of the nus mod 2, since the Legendre symbol is multiplicative.
     """
-    if classes is None:
-        classes = _classes(local, p)
     rows = [_SYMBOLS[p % 4][k] for k in classes]
     pairs = _pairs(len(local))
     values = [rows[i][classes[j]] for i, j in pairs]
@@ -256,14 +245,16 @@ def _class_tables(local: list[LocalValue], p: int) -> Iterator[tuple[str, dict]]
     since (cs|p) = (c|p)(s|p) and u is a non-residue.
     """
     classes = _classes(local, p)
-    for index, (lam, scale) in enumerate(_square_classes(p)):
-        yield lam, _table(_scale(local, scale, p), p, [k ^ index for k in classes])
+    for index, (lam, (val, unit)) in enumerate(_square_classes(p)):
+        scaled = [LocalValue(c.val + val, c.unit * unit % p) for c in local]
+        yield lam, _table(scaled, p, [k ^ index for k in classes])
 
 
 def local_invariants(q: DiagonalForm, place: LocalPlace) -> dict:
     """Invariants of q over Q_p, as the `invariants` dict of the table a
     certificate records."""
-    return _table(_local_values(q, place), place.p)["invariants"]
+    local = [valuation_f(c, place) for c in q.coeffs]
+    return _table(local, place.p, _classes(local, place.p))["invariants"]
 
 
 def hasse_witt(q: DiagonalForm, place: LocalPlace) -> int:
@@ -389,10 +380,11 @@ def _witness_at(target: DiagonalForm, scaled: DiagonalForm, p: int) -> Optional[
         place = LocalPlace.at(p)
     except ValueError:
         return None
-    target_table = _table(_local_values(target, place), p)
+    local = [valuation_f(c, place) for c in target.coeffs]
+    target_table = _table(local, p, _classes(local, p))
     target_inv = target_table["invariants"]
     rows = []
-    for lam, table in _class_tables(_local_values(scaled, place), p):
+    for lam, table in _class_tables([valuation_f(c, place) for c in scaled.coeffs], p):
         inv = table["invariants"]
         mismatches = [f for f, v in inv.items() if v != target_inv[f]]
         if not mismatches:
@@ -451,26 +443,26 @@ def _witness_text(witness: dict) -> str:
 def _scan_local_witness(
     target: DiagonalForm, scaled: DiagonalForm, place_budget: int
 ) -> Optional[dict]:
-    """First place p = 7 (mod 8) up to the budget, unimodular for the scaled
-    form, where all four square classes of scalars mismatch the target.
+    """First place p = 7 (mod 8) up to the budget that divides the norm of a
+    target coefficient and where all four square classes of scalars mismatch
+    the target; `_witness_at` alone judges each place.
 
-    Only places dividing the norm of a target coefficient are visited; at
-    any other the target is unimodular too (v_p(c) <= v_p(norm c)).  Where
-    both forms are unimodular every Hilbert symbol is 1 and both discriminant
-    valuations are even; the rank n + 1 is odd, so lambda = u flips the
-    discriminant's unit class and lambda = 1 does not, and one of the two
-    matches the target.  So the first witness, and the certificate, is the
-    same as that of a walk over every place.  The norms are nonzero, so no
-    place above the largest of them divides one, and the scan stops there.
-    A prime divides a product of norms exactly when it divides one of them,
-    so each place tests the two products; a composite p that passes is
-    refused by `_witness_at`, which `LocalPlace.at` tests for primality.
+    A place dividing no norm of either form carries no witness: there both
+    forms are unimodular (v_p(c) <= v_p(norm c)), every Hilbert symbol is 1
+    and both discriminant valuations are even; the rank n + 1 is odd, so
+    lambda = u flips the discriminant's unit class and lambda = 1 does not,
+    and one of the two matches the target.  A witness at p works in both
+    directions, since q ~ lambda q2 over Q_p iff q2 ~ (1/lambda) q, so the
+    places dividing only norms of the scaled form are left to the
+    roles-swapped scan.  No place above the largest target norm divides
+    one, and the scan stops there.  A prime divides the product of the
+    norms exactly when it divides one of them; a composite p that divides
+    it is refused by `LocalPlace.at` in `_witness_at`.
     """
     tgt_norms = [abs(c.norm()) for c in target.coeffs]
     tgt_prod = math.prod(tgt_norms)
-    scaled_prod = math.prod(c.norm() for c in scaled.coeffs)
     for p in range(7, min(place_budget, max(tgt_norms)) + 1, 8):
-        if tgt_prod % p == 0 and scaled_prod % p:
+        if tgt_prod % p == 0:
             witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness
@@ -523,13 +515,14 @@ def certify_noncommensurable(
     """Certificate that q_a and lambda * q_a2 are nonisometric for every scalar lambda.
 
     Odd n: the discriminant is a similarity invariant in even rank, so a
-    non-square discriminant ratio is a witness.  Even n: scan places
-    p = 7 (mod 8) at which the scaled form is unimodular and look for one
-    where all four scalar square classes mismatch; the roles-swapped scan
-    is run as well and recorded.  Returns None when no witness exists
-    within the budget; that is absence of a certificate, not a proof of
-    commensurability.  Both forms must be admissible and hyperbolic at the
-    same real embedding, or a ValueError is raised.
+    non-square discriminant ratio is a witness.  Even n: scan the places
+    p = 7 (mod 8) dividing a norm of q_a, with q_a as target, for one where
+    all four scalar square classes mismatch; then run the roles-swapped
+    scan, over the places dividing a norm of q_a2, and record it.  Returns
+    None only when no prime p = 7 (mod 8) up to the budget carries a witness
+    at the root `LocalPlace.at` picks; that is absence of a certificate, not
+    a proof of commensurability.  Both forms must be admissible and
+    hyperbolic at the same real embedding, or a ValueError is raised.
     """
     _check_pair(q_a, q_a2)
     if n is not None and n != q_a.n:

@@ -978,6 +978,33 @@ class TestCensus:
         )
         assert code == 2 and "missing piece 2" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "value", ["true", "false", "null", "1.5", "[1]", '{"1": "1"}', "[" * 900 + "]" * 900],
+        ids=["true", "false", "null", "float", "array", "object", "nested-900"],
+    )
+    def test_volume_neither_string_nor_integer(self, tmp_path, value):
+        # refused before str(), which would put Python's True, None or a
+        # repr of the whole value into the message
+        vols = tmp_path / "volumes.json"
+        vols.write_text('{"1": "1", "2": %s}' % value, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "hybridcensus.cli", "census", "--r", "2", "--m-max", "4", "--volumes", str(vols)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        message = f"volume file {vols}: piece 2 must be a JSON string or integer"
+        assert done.returncode == 2
+        assert done.stdout == json.dumps({"message": message, "status": "error"}) + "\n"
+        assert "Traceback" not in done.stderr
+
+    def test_volume_strings_and_integers_read_alike(self, capsys, tmp_path):
+        outs = []
+        for text in ('{"1": "3", "2": "1/2"}', '{"1": 3, "2": "1/2"}'):
+            vols = tmp_path / "volumes.json"
+            vols.write_text(text, encoding="utf-8")
+            code, out, _ = run(capsys, "census", "--r", "2", "--m-max", "4", "--volumes", str(vols))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     # r = 8 rows pass the 4,300-digit limit at m = 598: at m = 597 the longest
     # field has exactly 4,300 digits, and a_598 has 4,305
     @needs_digit_limit
@@ -1291,7 +1318,10 @@ class TestHarness:
         assert len(built) == first
         capsys.readouterr()
 
-    @pytest.mark.parametrize("depth", [5_000, 100_000])
+    # past the program's own bound only (101, 500), past the decoder's limit
+    # on 3.11 and 3.12 but not 3.13 (5,000), and past it on 3.13 as well
+    # (100,000): the message is the same on every interpreter
+    @pytest.mark.parametrize("depth", [cli._MAX_JSON_DEPTH + 1, 500, 5_000, 100_000])
     @pytest.mark.parametrize(
         "command",
         [["forms", "verify", "--cert"], ["census", "--r", "2", "--m-max", "3", "--volumes"]],
@@ -1309,6 +1339,37 @@ class TestHarness:
         }
         assert done.stdout.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["forms", "verify", "--cert"], "malformed certificate: TypeError: "),
+            (["census", "--r", "2", "--m-max", "3", "--volumes"], "volume file "),
+        ],
+        ids=["verify", "census"],
+    )
+    def test_nesting_at_the_bound_meets_the_shape_check(self, capsys, tmp_path, command, message):
+        path = tmp_path / "deep.json"
+        depth = cli._MAX_JSON_DEPTH
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code, payload, _ = run_json(capsys, *command, str(path))
+        assert code == 2 and payload["message"].startswith(message)
+
+    def test_nesting_checked_only_after_a_shape_check_fails(self, capsys, tmp_path, monkeypatch):
+        _, payload, _ = run_json(capsys, "forms", "certify", "--n", "4", "--a", "7", "--a-prime", "23")
+        walked = []
+        monkeypatch.setattr(cli, "_refuse_deep", lambda doc, path: walked.append(path))
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, "forms", "verify", "--cert", str(path))[0] == 0
+        payload["certificate"]["witness"]["rows"][0]["symbols"][0]["symbol"] *= -1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, "forms", "verify", "--cert", str(path))[0] == 2
+        assert walked == []  # a tampered certificate that parses cleanly is not walked
+        payload["certificate"]["n"] = "4"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, "forms", "verify", "--cert", str(path))[0] == 2
+        assert walked == [str(path)]
 
     def test_stdout_closed_early_exits_quietly(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

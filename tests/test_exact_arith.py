@@ -170,7 +170,6 @@ class TestLocalPlace:
             assert place.p % 8 == 7
             assert place.sqrt2_root ** 2 % p == 2
             assert legendre(place.sqrt2_root, p) == 1
-            assert place.root_is_qr
 
     def test_smaller_root_for_1_mod_8(self):
         for p in (17, 41, 73, 89, 97):
@@ -239,7 +238,7 @@ class TestLocalPlace:
         cert = certify_noncommensurable(forms[0], forms[1])
         p, c = cert.witness["p"], cert.witness["sqrt2_root"]
         assert p % 8 == 7 and LocalPlace.at(p) == LocalPlace(p, c)
-        assert not LocalPlace(p, p - c).root_is_qr
+        assert legendre(LocalPlace(p, p - c).sqrt2_root, p) == -1
         other = dataclasses.replace(cert, witness=dict(cert.witness, sqrt2_root=p - c))
         assert verify_certificate(cert)
         assert not verify_certificate(other)
@@ -249,8 +248,7 @@ class TestLocalPlace:
         for p, c in ((17, 11), (7, 3)):
             place = LocalPlace(p, c)
             assert place.sqrt2_root == c
-            assert place.root_is_qr == (legendre(c, p) == 1)
-        assert not LocalPlace(7, 3).root_is_qr
+        assert legendre(LocalPlace(7, 3).sqrt2_root, 7) == -1
 
 
 class TestHensel:

@@ -1,10 +1,13 @@
+import bisect
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from hybridcensus import exact_arith, quadform
+from hybridcensus.cli import main
 from hybridcensus.exact_arith import (
     SQRT2,
     LocalPlace,
@@ -376,13 +379,13 @@ class TestCertify:
 
 
 def exhaustive_scan(target, scaled, budget):
-    """Oracle for the place scan: every prime p = 7 (mod 8) up to the budget at
-    which the scaled form is unimodular, in increasing order."""
-    norms = [c.norm() for c in scaled.coeffs]
+    """Oracle for the place scan: every prime p = 7 (mod 8) up to the budget
+    that divides a target norm, in increasing order."""
+    norms = [c.norm() for c in target.coeffs]
     for p in primes_from(3):
         if p > budget:
             return None
-        if p % 8 == 7 and all(n % p for n in norms):
+        if p % 8 == 7 and any(n % p == 0 for n in norms):
             witness = _witness_at(target, scaled, p)
             if witness is not None:
                 return witness
@@ -461,6 +464,65 @@ class TestFastScan:
         for f in generate_family(4, 4):
             self.check(q, f, budget)
             self.check(f, q, budget)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+class TestPlaceRule:
+    """Certify returns None exactly when no prime p = 7 (mod 8) up to the
+    budget carries a witness at the root `LocalPlace.at` picks, in either
+    direction; such a place divides a norm of one of the forms, and a witness
+    there works in both directions."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_no_certificate_only_without_a_witness(self, n):
+        rng = random.Random(700 + n)
+        places = [p for p in range(7, 401, 8) if exact_arith.is_prime(p)]
+        certified = 0
+        for budget in (6, 50, 400):
+            for _ in range(84):  # 4 n x 3 budgets x 84 = 1,008 pairs
+                q, q2 = random_admissible(rng, n), random_admissible(rng, n)
+                norms = [c.norm() for c in q.coeffs + q2.coeffs]
+                found = []
+                for p in places[: bisect.bisect_right(places, budget)]:
+                    forward, swapped = _witness_at(q, q2, p), _witness_at(q2, q, p)
+                    assert (forward is None) == (swapped is None)
+                    if forward is not None:
+                        assert any(norm % p == 0 for norm in norms)
+                        found.append(p)
+                cert = certify_noncommensurable(q, q2, n, budget)
+                assert (cert is None) == (not found)
+                if cert is not None:
+                    assert cert.witness["p"] in found and verify_certificate(cert)
+                    certified += 1
+        assert certified
+
+    def test_square_valuation_place_certified(self, capsys, tmp_path):
+        # 49 has even valuation at 7, so q_49 is unimodular there up to a
+        # square; the scan once skipped 7 because 7 divides the norm 49^2
+        assert main(["forms", "certify", "--n", "4", "--a", "7", "--a-prime", "49"]) == 0
+        out = capsys.readouterr().out
+        witness = json.loads(out)["certificate"]["witness"]
+        assert (witness["p"], witness["direction"]) == (7, "forward")
+        path = tmp_path / "cert.json"
+        path.write_text(out, encoding="utf-8")
+        assert main(["forms", "verify", "--cert", str(path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_prefilter_certificates_still_verify(self, capsys, n):
+        # certificates the scan wrote at budget 400 while it skipped every
+        # place dividing a norm of the scaled form; it now finds another first
+        path = FIXTURES / f"prefilter_scan_n{n}.json"
+        text = path.read_text(encoding="utf-8").rstrip("\n")
+        cert = NoncommCertificate.from_json(json.loads(text))
+        assert cert.n == n and cert.json_text() == text
+        assert verify_certificate(cert)
+        assert main(["forms", "verify", "--cert", str(path)]) == 0
+        capsys.readouterr()
+        again = certify_noncommensurable(cert.form, cert.other_form, n, 400)
+        assert again.json_text() != text and verify_certificate(again)
 
 
 class TestVerifier:

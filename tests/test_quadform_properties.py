@@ -35,7 +35,7 @@ from hybridcensus.quadform import (
     DiagonalForm,
     NoncommCertificate,
     _class_tables,
-    _scale,
+    _classes,
     _square_classes,
     _table,
     _table_text,
@@ -168,7 +168,7 @@ def test_random_admissible_certificate_layout(pair):
 def test_table_matches_hilbert_symbol(p, data):
     value = st.builds(LocalValue, st.integers(0, 3), st.integers(1, p - 1))
     local = data.draw(st.lists(value, min_size=3, max_size=10))
-    table = _table(local, p)
+    table = _table(local, p, _classes(local, p))
     symbols = [s["symbol"] for s in table["symbols"]]
     pairs = itertools.combinations(range(len(local)), 2)
     assert symbols == [hilbert_symbol(local[i], local[j], p) for i, j in pairs]
@@ -210,9 +210,12 @@ def test_class_tables_match_scaled_tables(p, data):
     # each row's classes come from the unscaled form's, flipped by lambda's
     value = st.builds(LocalValue, st.integers(0, 3), st.integers(1, p - 1))
     local = data.draw(st.lists(value, min_size=3, max_size=10))
-    expected = [(lam, table_oracle(_scale(local, scale, p), p)) for lam, scale in _square_classes(p)]
+    expected = [
+        (lam, table_oracle([LocalValue(c.val + val, c.unit * unit % p) for c in local], p))
+        for lam, (val, unit) in _square_classes(p)
+    ]
     assert list(_class_tables(local, p)) == expected
-    assert _table(local, p) == table_oracle(local, p)
+    assert _table(local, p, _classes(local, p)) == table_oracle(local, p)
 
 
 @pytest.mark.parametrize("dim", range(3, 14))
@@ -221,7 +224,8 @@ def test_class_tables_match_scaled_tables(p, data):
 def test_table_text_is_sorted_json(dim, data):
     p = data.draw(st.sampled_from([7, 17, 23, 41, 1031]))
     value = st.builds(LocalValue, st.integers(0, 40), st.integers(1, p - 1))
-    table = _table(data.draw(st.lists(value, min_size=dim, max_size=dim)), p)
+    local = data.draw(st.lists(value, min_size=dim, max_size=dim))
+    table = _table(local, p, _classes(local, p))
     assert _table_text(table) == json.dumps(table, sort_keys=True)
     lam = data.draw(st.sampled_from(["1", "u", "p", "up"]))
     row = {"lambda": lam, "mismatches": ["dim", "hasse"]} | table
